@@ -5,8 +5,14 @@
 //!
 //! 1. each flow is feasible on the published capacities (`O(m)`),
 //! 2. each flow is maximal — the sink is unreachable in the residual graph
-//!    (`O(n²/p)` parallel BFS),
+//!    (`O(n²)` BFS),
 //! 3. the claimed response matches the comparator on the claimed values.
+//!
+//! Checks 1 and 2 run as one fused check per network that reads the
+//! published capacity arrays, the challenge's control bits and the flow's
+//! dense edge vector in place: one `O(n²)` pass for feasibility, one BFS
+//! for residual reachability, and no graph built per answer. A server
+//! gets its parallelism across answers, from its worker pool.
 //!
 //! A genuine device produces the answer in execution time `O(n)`; an
 //! impostor without the device must solve max-flow (`Ω(n²)`), which the
@@ -15,12 +21,13 @@
 use serde::{Deserialize, Serialize};
 
 use ppuf_analog::units::Seconds;
-use ppuf_maxflow::{Flow, ResidualGraph};
+use ppuf_maxflow::{Flow, MaxFlowError, NodeId};
 
 use crate::challenge::Challenge;
+use crate::crossbar::edge_index;
 use crate::device::PpufExecutor;
 use crate::error::PpufError;
-use crate::public_model::{NetworkSide, PublicModel};
+use crate::public_model::{NetworkSide, PublicModel, PublishedCapacities};
 
 /// Default absolute current tolerance for the verifier's feasibility and
 /// optimality checks (see [`Verifier::with_tolerance`]).
@@ -63,7 +70,8 @@ pub fn prove(
 /// Per-network verification findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetworkVerdict {
-    /// Flow satisfies capacity + conservation on the public model.
+    /// Flow satisfies capacity + conservation on the public model and was
+    /// computed for the challenge's terminals.
     pub feasible: bool,
     /// No augmenting path remains (the optimality certificate).
     pub maximal: bool,
@@ -99,8 +107,9 @@ impl VerificationReport {
 #[derive(Debug, Clone)]
 pub struct Verifier {
     model: PublicModel,
-    /// Threads used for the parallel residual BFS.
-    threads: usize,
+    /// Why `model` failed [`PublicModel::validate`]; every verification
+    /// reports it instead of indexing into an inconsistent model.
+    model_error: Option<PpufError>,
     /// Optional response deadline (the ESG enforcement knob).
     deadline: Option<Seconds>,
     /// Absolute current tolerance for feasibility/optimality checks.
@@ -110,14 +119,13 @@ pub struct Verifier {
 impl Verifier {
     /// Creates a verifier over a published model with the default
     /// [`VERIFY_TOLERANCE`].
+    ///
+    /// The model is validated once here; if it is inconsistent (say, a
+    /// deserialized model that bypassed [`PublicModel::new`]), every
+    /// [`verify`](Self::verify) call returns the validation error.
     pub fn new(model: PublicModel) -> Self {
-        Verifier { model, threads: 1, deadline: None, tolerance: VERIFY_TOLERANCE }
-    }
-
-    /// Uses `threads` workers for the residual-reachability check.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        let model_error = model.validate().err();
+        Verifier { model, model_error, deadline: None, tolerance: VERIFY_TOLERANCE }
     }
 
     /// Rejects answers that took longer than `deadline` (pass the measured
@@ -161,9 +169,10 @@ impl Verifier {
     ///
     /// # Errors
     ///
-    /// Returns [`PpufError::ChallengeMismatch`] or shape errors if the
-    /// answer does not even parse against the model; check *failures* are
-    /// reported in the `Ok` report instead.
+    /// Returns [`PpufError::InvalidConfig`] if the model is inconsistent,
+    /// [`PpufError::ChallengeMismatch`] or shape errors if the answer does
+    /// not even parse against the model; check *failures* are reported in
+    /// the `Ok` report instead.
     pub fn verify(
         &self,
         challenge: &Challenge,
@@ -183,6 +192,9 @@ impl Verifier {
         answer: &ProverAnswer,
         elapsed: Option<Seconds>,
     ) -> Result<VerificationReport, PpufError> {
+        if let Some(e) = &self.model_error {
+            return Err(e.clone());
+        }
         let network_a = self.verify_network(NetworkSide::A, challenge, &answer.flow_a)?;
         let network_b = self.verify_network(NetworkSide::B, challenge, &answer.flow_b)?;
         let comparator_says = self.model.comparator().compare(
@@ -198,21 +210,128 @@ impl Verifier {
         Ok(VerificationReport { network_a, network_b, response_consistent, within_deadline })
     }
 
+    /// The fused per-network check over the published arrays.
+    ///
+    /// Pass 1 walks the edges once in dense order, applying
+    /// [`Flow::check_feasible`]'s capacity predicate and summing each
+    /// node's inflow and outflow in the order `check_feasible` does, so
+    /// conservation and value results match it bit for bit. Pass 2 is a
+    /// BFS from the challenge's source: arc `u → v` exists iff
+    /// `c(u,v) − f(u,v) > τ` or `f(v,u) > τ`, the per-direction arcs of
+    /// the residual graph.
     fn verify_network(
         &self,
         side: NetworkSide,
         challenge: &Challenge,
         flow: &Flow,
     ) -> Result<NetworkVerdict, PpufError> {
-        let net = self.model.flow_network(side, challenge)?;
-        let feasible =
-            flow.check_feasible(&net, self.tolerance).map_err(PpufError::Simulation)?.is_feasible();
-        let residual =
-            ResidualGraph::new(&net, flow, self.tolerance).map_err(PpufError::Simulation)?;
-        let maximal = !residual
-            .is_reachable_parallel(challenge.source, challenge.sink, self.threads)
-            .map_err(PpufError::Simulation)?;
-        Ok(NetworkVerdict { feasible, maximal })
+        self.model.check_challenge(challenge)?;
+        let n = self.model.nodes();
+        let flows = flow.edge_flows();
+        if flows.len() != n * (n - 1) {
+            return Err(PpufError::Simulation(MaxFlowError::FlowShapeMismatch {
+                flow_edges: flows.len(),
+                network_edges: n * (n - 1),
+            }));
+        }
+        let rows = CapacityRows::new(&self.model, side, challenge);
+        let tol = self.tolerance;
+        let (source, sink) = (challenge.source.index(), challenge.sink.index());
+
+        let mut within_capacity = true;
+        let mut inflow = vec![0.0; n];
+        let mut outflow = vec![0.0; n];
+        for (u, out) in outflow.iter_mut().enumerate() {
+            rows.scan(u, |v, k, c| {
+                let f = flows[k];
+                if f < -tol || f > c + tol || !f.is_finite() {
+                    within_capacity = false;
+                }
+                *out += f;
+                inflow[v] += f;
+                true
+            });
+        }
+        let conserved =
+            !(0..n).any(|v| v != source && v != sink && (inflow[v] - outflow[v]).abs() > tol);
+        let value = flow.value();
+        let value_mismatch =
+            (outflow[source] - inflow[source] - value).abs() > tol.max(value.abs() * 1e-9);
+        let terminals_bound = flow.source() == challenge.source && flow.sink() == challenge.sink;
+        let feasible = terminals_bound && within_capacity && conserved && !value_mismatch;
+
+        let node = |i: usize| NodeId::new(i as u32);
+        let mut seen = vec![false; n];
+        let mut queue = Vec::with_capacity(n);
+        seen[source] = true;
+        queue.push(source);
+        let mut head = 0;
+        let mut sink_reached = false;
+        while !sink_reached && head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            rows.scan(u, |v, k, c| {
+                if seen[v] {
+                    return true;
+                }
+                if c - flows[k] > tol || flows[edge_index(n, node(v), node(u))] > tol {
+                    sink_reached = v == sink;
+                    seen[v] = true;
+                    queue.push(v);
+                }
+                !sink_reached
+            });
+        }
+        Ok(NetworkVerdict { feasible, maximal: !sink_reached })
+    }
+}
+
+/// One network's published capacities under one challenge, read row by
+/// row in dense order without building a network.
+struct CapacityRows<'a> {
+    nodes: usize,
+    /// Nodes per grid stripe.
+    stripe: usize,
+    /// Grid dimension `l`.
+    grid: usize,
+    bits: &'a [bool],
+    caps: &'a PublishedCapacities,
+}
+
+impl<'a> CapacityRows<'a> {
+    fn new(model: &'a PublicModel, side: NetworkSide, challenge: &'a Challenge) -> Self {
+        let (nodes, grid) = (model.nodes(), model.grid().grid());
+        CapacityRows {
+            nodes,
+            stripe: nodes.div_ceil(grid),
+            grid,
+            bits: &challenge.control_bits,
+            caps: model.capacities(side),
+        }
+    }
+
+    /// Calls `visit(v, k, c)` for every edge `u → v` in dense order, with
+    /// `k` its dense index and `c` its capacity under the challenge bit of
+    /// its grid cell, until `visit` returns `false`.
+    ///
+    /// Walking the destinations stripe by stripe fixes the grid cell, and
+    /// so the capacity vector, for a whole run of edges.
+    #[inline]
+    fn scan(&self, u: usize, mut visit: impl FnMut(usize, usize, f64) -> bool) {
+        let col = u / self.stripe;
+        let mut k = u * (self.nodes - 1);
+        for (row, start) in (0..self.nodes).step_by(self.stripe).enumerate() {
+            let caps = self.caps.for_bit(self.bits[row * self.grid + col]);
+            for v in start..(start + self.stripe).min(self.nodes) {
+                if v == u {
+                    continue;
+                }
+                if !visit(v, k, caps[k]) {
+                    return;
+                }
+                k += 1;
+            }
+        }
     }
 }
 
@@ -221,6 +340,7 @@ mod tests {
     use super::*;
     use crate::device::{Ppuf, PpufConfig};
     use ppuf_analog::variation::Environment;
+    use ppuf_maxflow::{Dinic, FlowNetwork};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -236,7 +356,7 @@ mod tests {
         let (ppuf, challenge) = setup();
         let executor = ppuf.executor(Environment::NOMINAL);
         let answer = prove(&executor, &challenge).unwrap();
-        let verifier = Verifier::new(ppuf.public_model().unwrap()).with_threads(2);
+        let verifier = Verifier::new(ppuf.public_model().unwrap());
         let report = verifier.verify(&challenge, &answer).unwrap();
         assert!(report.accepted(), "{report:?}");
     }
@@ -248,8 +368,9 @@ mod tests {
         let mut answer = prove(&executor, &challenge).unwrap();
         // lazy prover: claims the zero flow for network A
         let model = ppuf.public_model().unwrap();
-        let net = model.flow_network(NetworkSide::A, &challenge).unwrap();
-        answer.flow_a = Flow::zero(&net, challenge.source, challenge.sink);
+        let edges = answer.flow_a.edge_flows().len();
+        answer.flow_a =
+            Flow::from_edge_flows(challenge.source, challenge.sink, 0.0, vec![0.0; edges]);
         let verifier = Verifier::new(model);
         let report = verifier.verify(&challenge, &answer).unwrap();
         assert!(report.network_a.feasible);
@@ -297,19 +418,17 @@ mod tests {
         // conservation violation at its endpoints is exactly 5e-10 —
         // inside the default 1e-9 band, far outside a tightened 1e-12 one
         let model = ppuf.public_model().unwrap();
-        let net = model.flow_network(NetworkSide::A, &challenge).unwrap();
         let violation = 5e-10;
-        let edge_idx = net
-            .edges()
-            .find(|(id, e)| {
-                let internal =
-                    |v: ppuf_maxflow::NodeId| v != challenge.source && v != challenge.sink;
-                internal(e.from)
-                    && internal(e.to)
-                    && answer.flow_a.edge_flows()[id.index()] == 0.0
-                    && e.capacity > 1e-9
+        let internal = |v: ppuf_maxflow::NodeId| v != challenge.source && v != challenge.sink;
+        let edge_idx = crate::crossbar::edge_order(model.nodes())
+            .enumerate()
+            .position(|(k, (from, to))| {
+                let bit = challenge.control_bits[model.grid().cell_of_edge(from, to)];
+                internal(from)
+                    && internal(to)
+                    && answer.flow_a.edge_flows()[k] == 0.0
+                    && model.capacities(NetworkSide::A).capacity(k, bit) > 1e-9
             })
-            .map(|(id, _)| id.index())
             .expect("an idle internal edge exists on a complete graph");
         let mut flows = answer.flow_a.edge_flows().to_vec();
         flows[edge_idx] += violation;
@@ -325,6 +444,88 @@ mod tests {
         let report = strict.verify(&challenge, &answer).unwrap();
         assert!(!report.network_a.feasible, "tightened tolerance must reject it");
         assert!(!report.accepted());
+    }
+
+    #[test]
+    fn flows_for_other_terminals_rejected() {
+        // a prover answers challenge (s, t) with exact max flows for
+        // (s', t): the verifier must bind the flows to the challenge's
+        // terminals, or it accepts some with the wrong response bit
+        let (ppuf, _) = setup();
+        let model = ppuf.public_model().unwrap();
+        let verifier = Verifier::new(model.clone());
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let (mut forgeries, mut wrong_bits) = (0, 0);
+        for _ in 0..200 {
+            let challenge = ppuf.challenge_space().random(&mut rng);
+            let truth = model.simulate(&challenge, &Dinic::new()).unwrap().response;
+            for other in 0..model.nodes() as u32 {
+                let other = ppuf_maxflow::NodeId::new(other);
+                if other == challenge.source || other == challenge.sink {
+                    continue;
+                }
+                let moved = Challenge { source: other, ..challenge.clone() };
+                let outcome = model.simulate(&moved, &Dinic::new()).unwrap();
+                let Some(response) = outcome.response else { continue };
+                let answer =
+                    ProverAnswer { response, flow_a: outcome.flow_a, flow_b: outcome.flow_b };
+                let report = verifier.verify(&challenge, &answer).unwrap();
+                assert!(!report.network_a.feasible && !report.network_b.feasible, "{report:?}");
+                assert!(!report.accepted());
+                forgeries += 1;
+                wrong_bits += usize::from(truth != Some(response));
+            }
+        }
+        assert_eq!(forgeries, 1200);
+        assert!(wrong_bits > 0, "the forgeries must include wrong response bits");
+    }
+
+    #[test]
+    fn flow_terminals_must_match_the_challenge() {
+        // honest edge flows under a relabelled sink: conservation, value
+        // and the residual BFS all use the challenge's terminals and pass,
+        // so only the terminal binding catches the mislabel
+        let (ppuf, challenge) = setup();
+        let executor = ppuf.executor(Environment::NOMINAL);
+        let mut answer = prove(&executor, &challenge).unwrap();
+        let other = (0..8)
+            .map(ppuf_maxflow::NodeId::new)
+            .find(|&v| v != challenge.source && v != challenge.sink)
+            .unwrap();
+        let flow = &answer.flow_a;
+        answer.flow_a =
+            Flow::from_edge_flows(flow.source(), other, flow.value(), flow.edge_flows().to_vec());
+        let report =
+            Verifier::new(ppuf.public_model().unwrap()).verify(&challenge, &answer).unwrap();
+        assert_eq!(report.network_a, NetworkVerdict { feasible: false, maximal: true });
+        assert_eq!(report.network_b, NetworkVerdict { feasible: true, maximal: true });
+        assert!(!report.accepted());
+    }
+
+    #[test]
+    fn inconsistent_model_is_an_error_not_a_panic() {
+        // a deserialized model bypasses PublicModel::new: one claiming 9
+        // nodes over an 8-node grid and 8-node capacity vectors would
+        // index the grid out of range
+        let (ppuf, _) = setup();
+        let json = serde_json::to_string(&ppuf.public_model().unwrap()).unwrap();
+        assert!(json.starts_with("{\"nodes\":8,"), "{json:.40}");
+        let hostile: PublicModel =
+            serde_json::from_str(&json.replacen("\"nodes\":8", "\"nodes\":9", 1)).unwrap();
+        assert!(matches!(hostile.validate(), Err(PpufError::InvalidConfig { .. })));
+        let space = crate::challenge::ChallengeSpace::new(9, 2).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        let verifier = Verifier::new(hostile);
+        for _ in 0..20 {
+            let challenge = space.random(&mut rng);
+            let net = FlowNetwork::complete(9, |_, _| 0.0).unwrap();
+            let flow = Flow::zero(&net, challenge.source, challenge.sink);
+            let answer = ProverAnswer { response: true, flow_a: flow.clone(), flow_b: flow };
+            assert!(matches!(
+                verifier.verify(&challenge, &answer),
+                Err(PpufError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]

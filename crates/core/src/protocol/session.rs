@@ -87,13 +87,11 @@ pub struct SessionConfig {
     pub feedback_rounds: usize,
     /// Per-answer wall-clock deadline; `None` disables timing checks.
     pub deadline: Option<Seconds>,
-    /// Threads for the verifier's parallel residual BFS.
-    pub verifier_threads: usize,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        SessionConfig { rounds: 3, feedback_rounds: 4, deadline: None, verifier_threads: 1 }
+        SessionConfig { rounds: 3, feedback_rounds: 4, deadline: None }
     }
 }
 
@@ -150,7 +148,7 @@ pub struct AuthenticationSession {
 impl AuthenticationSession {
     /// Creates a session over a published model, timed by the wall clock.
     pub fn new(model: PublicModel, config: SessionConfig) -> Self {
-        let mut verifier = Verifier::new(model).with_threads(config.verifier_threads);
+        let mut verifier = Verifier::new(model);
         if let Some(deadline) = config.deadline {
             verifier = verifier.with_deadline(deadline);
         }
@@ -356,12 +354,7 @@ mod tests {
     fn manual_clock_separates_fast_and_slow_provers() {
         let (ppuf, model) = setup();
         let clock = Arc::new(crate::protocol::clock::ManualClock::new());
-        let config = SessionConfig {
-            rounds: 1,
-            feedback_rounds: 0,
-            deadline: Some(Seconds(1.0)),
-            ..Default::default()
-        };
+        let config = SessionConfig { rounds: 1, feedback_rounds: 0, deadline: Some(Seconds(1.0)) };
 
         // under the deadline: accepted (the clock never moves, elapsed = 0)
         let session = AuthenticationSession::new(model.clone(), config)

@@ -65,10 +65,17 @@ impl PublishedCapacities {
 
     /// Capacity of edge `k` under challenge bit `bit`.
     pub fn capacity(&self, k: usize, bit: bool) -> f64 {
+        self.for_bit(bit)[k]
+    }
+
+    /// Every edge's capacity under challenge bit `bit`, in dense-index
+    /// order.
+    #[inline]
+    pub(crate) fn for_bit(&self, bit: bool) -> &[f64] {
         if bit {
-            self.bit1[k]
+            &self.bit1
         } else {
-            self.bit0[k]
+            &self.bit0
         }
     }
 }
@@ -105,8 +112,8 @@ impl PublicModel {
     ///
     /// # Errors
     ///
-    /// Returns [`PpufError::InvalidConfig`] if a capacity vector does not
-    /// have `n(n−1)` entries.
+    /// Returns [`PpufError::InvalidConfig`] if the model fails
+    /// [`validate`](Self::validate).
     pub fn new(
         nodes: usize,
         grid: GridPartition,
@@ -114,18 +121,54 @@ impl PublicModel {
         capacities_b: PublishedCapacities,
         comparator: Comparator,
     ) -> Result<Self, PpufError> {
-        let m = nodes * nodes.saturating_sub(1);
-        for (side, caps) in [("A", &capacities_a), ("B", &capacities_b)] {
-            if caps.bit0.len() != m {
-                return Err(PpufError::InvalidConfig {
-                    reason: format!(
-                        "network {side} publishes {} capacities, expected {m}",
-                        caps.bit0.len()
-                    ),
-                });
+        let model = PublicModel { nodes, grid, capacities_a, capacities_b, comparator };
+        model.validate()?;
+        Ok(model)
+    }
+
+    /// Checks that the model is internally consistent: `n ≥ 2`, a grid
+    /// over the same `n` nodes with `1 ≤ l ≤ n`, and four capacity vectors
+    /// of `n(n−1)` finite, non-negative entries.
+    ///
+    /// [`new`](Self::new) calls this; a model that arrives deserialized
+    /// (a wire `Register`) bypasses `new` and must be validated before
+    /// anything indexes into it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PpufError::InvalidConfig`] naming the first inconsistency.
+    pub fn validate(&self) -> Result<(), PpufError> {
+        let invalid = |reason: String| Err(PpufError::InvalidConfig { reason });
+        let n = self.nodes;
+        if n < 2 {
+            return invalid(format!("a public model needs at least 2 nodes, got {n}"));
+        }
+        if self.grid.nodes() != n {
+            return invalid(format!("grid covers {} nodes, model has {n}", self.grid.nodes()));
+        }
+        if self.grid.grid() == 0 || self.grid.grid() > n {
+            return invalid(format!("grid {} must be in 1..={n}", self.grid.grid()));
+        }
+        let m = n * (n - 1);
+        for side in NetworkSide::BOTH {
+            let caps = self.capacities(side);
+            for (bit, values) in [(0, &caps.bit0), (1, &caps.bit1)] {
+                if values.len() != m {
+                    return invalid(format!(
+                        "network {side:?} publishes {} bit-{bit} capacities, expected {m}",
+                        values.len()
+                    ));
+                }
+                if let Some(k) = values.iter().position(|c| !c.is_finite() || *c < 0.0) {
+                    return invalid(format!(
+                        "network {side:?} bit-{bit} capacity {k} is {}, not a finite \
+                         non-negative current",
+                        values[k]
+                    ));
+                }
             }
         }
-        Ok(PublicModel { nodes, grid, capacities_a, capacities_b, comparator })
+        Ok(())
     }
 
     /// Number of circuit nodes.
@@ -220,7 +263,13 @@ impl PublicModel {
         })
     }
 
-    fn check_challenge(&self, challenge: &Challenge) -> Result<(), PpufError> {
+    /// Checks a challenge's shape against the model: terminals in range and
+    /// distinct, one control bit per grid cell.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PpufError::ChallengeMismatch`] naming what does not fit.
+    pub(crate) fn check_challenge(&self, challenge: &Challenge) -> Result<(), PpufError> {
         if challenge.source.index() >= self.nodes
             || challenge.sink.index() >= self.nodes
             || challenge.source == challenge.sink
@@ -267,6 +316,34 @@ mod tests {
         let grid = GridPartition::new(4, 2).unwrap();
         let short = PublishedCapacities { bit0: vec![1.0; 3], bit1: vec![1.0; 3] };
         assert!(PublicModel::new(4, grid, short.clone(), short, Comparator::default()).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_inconsistent_models() {
+        let good = tiny_model();
+        assert!(good.validate().is_ok());
+        let mut cases = Vec::new();
+        let mut m = good.clone();
+        m.nodes = 5;
+        cases.push(m);
+        let mut m = good.clone();
+        m.nodes = 1;
+        m.grid = GridPartition::new(1, 1).unwrap();
+        cases.push(m);
+        let mut m = good.clone();
+        m.grid = serde_json::from_str(r#"{"nodes":4,"grid":0}"#).unwrap();
+        cases.push(m);
+        let mut m = good.clone();
+        m.capacities_b.bit1.pop();
+        cases.push(m);
+        for bad in [f64::NAN, f64::INFINITY, -1e-12] {
+            let mut m = good.clone();
+            m.capacities_a.bit1[5] = bad;
+            cases.push(m);
+        }
+        for m in cases {
+            assert!(matches!(m.validate(), Err(PpufError::InvalidConfig { .. })), "accepted {m:?}");
+        }
     }
 
     #[test]

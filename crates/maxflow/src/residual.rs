@@ -3,9 +3,8 @@
 //! Checking that a flow is *maximal* is far cheaper than finding one: build
 //! the residual graph and test whether the sink is reachable from the
 //! source (paper §2). The search is a plain BFS, `O(n²)` on a complete
-//! graph, and parallelizes to `O(n²/p)` — this asymmetry is what lets a
-//! PPUF verifier validate a prover's answer without doing the prover's
-//! work.
+//! graph — this asymmetry is what lets a PPUF verifier validate a
+//! prover's answer without doing the prover's work.
 
 use std::collections::VecDeque;
 
@@ -178,76 +177,6 @@ impl ResidualGraph {
         false
     }
 
-    /// Level-synchronous parallel BFS over `threads` workers.
-    ///
-    /// Frontier expansion is split across threads per level
-    /// (`O(n²/p)` on a complete graph, the verifier bound of paper §2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MaxFlowError::ZeroThreads`] if `threads == 0`.
-    pub fn is_reachable_parallel(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        threads: usize,
-    ) -> Result<bool, MaxFlowError> {
-        if threads == 0 {
-            return Err(MaxFlowError::ZeroThreads);
-        }
-        if from == to {
-            return Ok(true);
-        }
-        let mut seen = vec![false; self.node_count];
-        seen[from.index()] = true;
-        let mut frontier = vec![from.index() as u32];
-        while !frontier.is_empty() {
-            let chunk = frontier.len().div_ceil(threads);
-            let next_parts: Vec<Vec<u32>> = if threads == 1 || frontier.len() < 32 {
-                vec![self.expand(&frontier, &seen)]
-            } else {
-                let seen_ref = &seen;
-                crossbeam::scope(|scope| {
-                    let handles: Vec<_> = frontier
-                        .chunks(chunk)
-                        .map(|part| scope.spawn(move |_| self.expand(part, seen_ref)))
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-                })
-                .expect("crossbeam scope failed")
-            };
-            let mut next = Vec::new();
-            for part in next_parts {
-                for v in part {
-                    if !seen[v as usize] {
-                        if v as usize == to.index() {
-                            return Ok(true);
-                        }
-                        seen[v as usize] = true;
-                        next.push(v);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        Ok(false)
-    }
-
-    /// Expands one chunk of the frontier against a read-only `seen` bitmap;
-    /// duplicates across chunks are deduplicated by the caller.
-    fn expand(&self, part: &[u32], seen: &[bool]) -> Vec<u32> {
-        let mut out = Vec::new();
-        for &u in part {
-            for &ei in &self.adj[u as usize] {
-                let v = self.edges[ei as usize].to.index();
-                if !seen[v] {
-                    out.push(v as u32);
-                }
-            }
-        }
-        out
-    }
-
     /// The max-flow optimality certificate: `true` iff the sink is **not**
     /// reachable from the source in this residual graph.
     pub fn certifies_max_flow(&self) -> bool {
@@ -302,21 +231,6 @@ mod tests {
         let zero = Flow::zero(&net, flow.source(), flow.sink());
         let residual = ResidualGraph::new(&net, &zero, 1e-9).unwrap();
         assert!(!residual.certifies_max_flow());
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (net, flow) = solved_instance();
-        for f in [flow.clone(), Flow::zero(&net, flow.source(), flow.sink())] {
-            let residual = ResidualGraph::new(&net, &f, 1e-9).unwrap();
-            let seq = residual.is_reachable(residual.source(), residual.sink());
-            for threads in [1, 2, 4] {
-                let par = residual
-                    .is_reachable_parallel(residual.source(), residual.sink(), threads)
-                    .unwrap();
-                assert_eq!(seq, par, "threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -167,13 +167,4 @@ proptest! {
         let residual = ResidualGraph::new(&net, &d, 1e-12).unwrap();
         prop_assert!(residual.certifies_max_flow());
     }
-
-    #[test]
-    fn parallel_reachability_matches((net, s, t) in sparse_network(10), threads in 1usize..4) {
-        let flow = Dinic::new().max_flow(&net, s, t).unwrap();
-        let residual = ResidualGraph::new(&net, &flow, 1e-9).unwrap();
-        let seq = residual.is_reachable(s, t);
-        let par = residual.is_reachable_parallel(s, t, threads).unwrap();
-        prop_assert_eq!(seq, par);
-    }
 }

@@ -42,8 +42,6 @@ pub struct ServiceConfig {
     /// Bounded verification queue length; a full queue sheds load with
     /// `Overloaded` responses.
     pub queue_capacity: usize,
-    /// Threads each verifier uses for its residual-BFS passes.
-    pub verify_threads: usize,
     /// Answer deadline (the ESG enforcement knob); `None` disables the
     /// timing check.
     pub deadline: Option<Seconds>,
@@ -88,7 +86,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             queue_capacity: 64,
-            verify_threads: 1,
             deadline: None,
             session_ttl: DEFAULT_SESSION_TTL,
             tolerance: VERIFY_TOLERANCE,
@@ -430,7 +427,11 @@ impl VerificationService {
     }
 
     fn register(&self, device_id: String, model: PublicModel) -> Response {
-        let space = match ChallengeSpace::new(model.nodes(), model.grid().grid()) {
+        // a wire model arrives deserialized, bypassing PublicModel::new
+        let space = match model
+            .validate()
+            .and_then(|()| ChallengeSpace::new(model.nodes(), model.grid().grid()))
+        {
             Ok(space) => space,
             Err(e) => {
                 return Response::error(ErrorKind::Malformed, format!("unusable model: {e}"));
@@ -445,9 +446,7 @@ impl VerificationService {
         if self.config.challenge_pool > 0 {
             issuer = issuer.with_challenge_pool(self.config.challenge_pool);
         }
-        let verifier = Verifier::new(model.clone())
-            .with_threads(self.config.verify_threads)
-            .with_tolerance(self.config.tolerance);
+        let verifier = Verifier::new(model.clone()).with_tolerance(self.config.tolerance);
         // a re-registration may change the model: stale verdicts must go
         self.cache.invalidate_device(&device_id);
         self.registry.insert(DeviceEntry { device_id: device_id.clone(), model, verifier, issuer });
@@ -685,6 +684,27 @@ mod tests {
             other => panic!("expected verdict, got {other:?}"),
         }
         assert_eq!(service.recorder().counter("server.answers.accepted"), 1);
+    }
+
+    #[test]
+    fn inconsistent_model_registration_is_malformed() {
+        // a model deserialized off the wire bypasses PublicModel::new; one
+        // claiming 9 nodes over 8-node arrays must not reach a verifier
+        let service = VerificationService::new(ServiceConfig::default());
+        let model = Ppuf::generate(PpufConfig::paper(8, 2), 21).unwrap().public_model().unwrap();
+        let json = serde_json::to_string(&model).unwrap();
+        let hostile: PublicModel =
+            serde_json::from_str(&json.replacen("\"nodes\":8", "\"nodes\":9", 1)).unwrap();
+        let response =
+            service.handle(Request::Register { device_id: "dev".into(), model: hostile });
+        assert!(
+            matches!(response, Response::Error { kind: ErrorKind::Malformed, .. }),
+            "{response:?}"
+        );
+        assert!(matches!(
+            service.handle(Request::GetChallenge { device_id: "dev".into() }),
+            Response::Error { kind: ErrorKind::UnknownDevice, .. }
+        ));
     }
 
     #[test]

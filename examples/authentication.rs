@@ -1,8 +1,8 @@
 //! Authentication session: honest prover vs simulating attacker.
 //!
 //! The verifier holds only the public model. It issues a challenge, takes
-//! the answer with its flow functions, and verifies in `O(n²/p)` — never
-//! solving max-flow itself. A response deadline separates the chip (which
+//! the answer with its flow functions, and verifies in one `O(n²)` pass
+//! over the published capacities — never solving max-flow itself. A response deadline separates the chip (which
 //! settles in `O(n)`) from an attacker (who must simulate in `Ω(n²)`).
 //! The feedback loop (§3.3) then amplifies that separation `k`-fold.
 //!
@@ -25,7 +25,7 @@ fn main() -> Result<(), PpufError> {
 
     // --- single-round authentication -------------------------------
     let challenge = ppuf.challenge_space().random(&mut rng);
-    let verifier = Verifier::new(model.clone()).with_threads(2);
+    let verifier = Verifier::new(model.clone());
 
     // honest prover: asks the chip
     let started = Instant::now();
