@@ -12,11 +12,19 @@
 //!   consecutive challenges start Newton from the previous operating point
 //!   instead of climbing the full source-stepping ladder.
 //!
+//! In the flow mode each pair is two max-flow solves, one per crossbar,
+//! through [`PpufExecutor::execute_flow`]: the challenge's bits select each
+//! edge's capacity from the device's per-bit arrays, and both networks are
+//! solved with [`Dinic::max_flow_complete`] on one capacity buffer and one
+//! complete-graph residual layout. No `FlowNetwork` is built.
+//!
 //! Work is partitioned so that the *result* never depends on the thread
 //! count: a parallel job is either a whole device (analog mode — the warm
 //! chain must see the device's challenges in order) or a fixed-size chunk
 //! of one device's challenges (flow mode, where solves are independent),
 //! and no job reads state written by another.
+//!
+//! [`Dinic::max_flow_complete`]: ppuf_maxflow::Dinic::max_flow_complete
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

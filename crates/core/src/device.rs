@@ -25,14 +25,16 @@ use ppuf_analog::montecarlo::stream;
 use ppuf_analog::solver::{DcOptions, SolveError};
 use ppuf_analog::units::{Amps, Joules, Seconds, Volts, Watts};
 use ppuf_analog::variation::{Environment, ProcessVariation};
-use ppuf_maxflow::{Dinic, Flow, FlowNetwork, MaxFlowSolver};
+use ppuf_maxflow::FlowNetwork;
 
 use crate::challenge::{Challenge, ChallengeSpace};
 use crate::comparator::Comparator;
-use crate::crossbar::{edge_order, CrossbarNetwork};
+use crate::crossbar::CrossbarNetwork;
 use crate::error::PpufError;
 use crate::grid::GridPartition;
-use crate::public_model::{NetworkSide, PublicModel, PublishedCapacities, SimulationOutcome};
+use crate::public_model::{
+    dinic_pair, CapacityRows, NetworkSide, PublicModel, PublishedCapacities, SimulationOutcome,
+};
 
 /// Construction parameters of a PPUF.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -217,19 +219,12 @@ impl Ppuf {
     /// Returns [`PpufError::InvalidConfig`] only if internal shapes are
     /// inconsistent (a bug).
     pub fn public_model(&self) -> Result<PublicModel, PpufError> {
-        let v_ref = self.config.characterization_voltage;
         let env = Environment::NOMINAL;
-        let publish = |net: &CrossbarNetwork| -> Result<PublishedCapacities, PpufError> {
-            PublishedCapacities::new(
-                net.capacities_for_bit(false, v_ref, env),
-                net.capacities_for_bit(true, v_ref, env),
-            )
-        };
         PublicModel::new(
             self.config.nodes,
             self.grid,
-            publish(&self.network_a)?,
-            publish(&self.network_b)?,
+            self.characterize(&self.network_a, env),
+            self.characterize(&self.network_b, env),
             self.config.comparator,
         )
     }
@@ -237,13 +232,23 @@ impl Ppuf {
     /// Binds the device to an environmental condition, producing an
     /// executor with that condition's capacities cached.
     pub fn executor(&self, env: Environment) -> PpufExecutor<'_> {
-        let v_ref = self.config.characterization_voltage;
         PpufExecutor {
             device: self,
             env,
-            caps_a: PerBitCapacities::build(&self.network_a, v_ref, env),
-            caps_b: PerBitCapacities::build(&self.network_b, v_ref, env),
+            caps_a: self.characterize(&self.network_a, env),
+            caps_b: self.characterize(&self.network_b, env),
         }
+    }
+
+    /// Every edge capacity of one network for both input bits under `env`.
+    fn characterize(&self, net: &CrossbarNetwork, env: Environment) -> PublishedCapacities {
+        // supply scaling moves the characterization point with the rail
+        let v = env.scaled_supply(self.config.characterization_voltage);
+        PublishedCapacities::new(
+            net.capacities_for_bit(false, v, env),
+            net.capacities_for_bit(true, v, env),
+        )
+        .expect("both bits characterize every edge")
     }
 
     /// Estimated energy per evaluation at size `n` (paper §5): crossbar
@@ -256,44 +261,13 @@ impl Ppuf {
     }
 }
 
-/// Challenge-independent per-edge capacities for one network under one
-/// environment, both input bits.
-#[derive(Debug, Clone)]
-struct PerBitCapacities {
-    bit0: Vec<f64>,
-    bit1: Vec<f64>,
-}
-
-impl PerBitCapacities {
-    fn build(net: &CrossbarNetwork, v_ref: Volts, env: Environment) -> Self {
-        // supply scaling moves the characterization point with the rail
-        let v_eff = env.scaled_supply(v_ref);
-        PerBitCapacities {
-            bit0: net
-                .capacities_for_bit(false, v_eff, env)
-                .into_iter()
-                .map(|a| a.value())
-                .collect(),
-            bit1: net.capacities_for_bit(true, v_eff, env).into_iter().map(|a| a.value()).collect(),
-        }
-    }
-
-    fn capacity(&self, k: usize, bit: bool) -> f64 {
-        if bit {
-            self.bit1[k]
-        } else {
-            self.bit0[k]
-        }
-    }
-}
-
 /// A device bound to an environment, ready to answer challenges.
 #[derive(Debug, Clone)]
 pub struct PpufExecutor<'a> {
     device: &'a Ppuf,
     env: Environment,
-    caps_a: PerBitCapacities,
-    caps_b: PerBitCapacities,
+    caps_a: PublishedCapacities,
+    caps_b: PublishedCapacities,
 }
 
 impl PpufExecutor<'_> {
@@ -363,17 +337,21 @@ impl PpufExecutor<'_> {
     ///
     /// Propagates challenge validation and solver errors.
     pub fn execute_flow(&self, challenge: &Challenge) -> Result<ExecutionOutcome, PpufError> {
-        let (flow_a, flow_b) = self.flow_pair(challenge)?;
-        let (i_a, i_b) = (Amps(flow_a.value()), Amps(flow_b.value()));
+        let outcome = self.execute_flow_detailed(challenge)?;
         Ok(ExecutionOutcome {
-            current_a: i_a,
-            current_b: i_b,
-            response: self.device.config.comparator.compare(i_a, i_b),
+            current_a: outcome.current_a,
+            current_b: outcome.current_b,
+            response: outcome.response,
         })
     }
 
     /// Like [`execute_flow`](Self::execute_flow) but returns the full flow
     /// functions (for the verification protocol).
+    ///
+    /// Both paths solve each network with
+    /// [`Dinic::max_flow_complete`](ppuf_maxflow::Dinic::max_flow_complete)
+    /// on the capacities the challenge selects: bit-identical to a Dinic
+    /// solve of [`flow_network`](Self::flow_network), without building it.
     ///
     /// # Errors
     ///
@@ -382,15 +360,10 @@ impl PpufExecutor<'_> {
         &self,
         challenge: &Challenge,
     ) -> Result<SimulationOutcome, PpufError> {
-        let (flow_a, flow_b) = self.flow_pair(challenge)?;
-        let (i_a, i_b) = (Amps(flow_a.value()), Amps(flow_b.value()));
-        Ok(SimulationOutcome {
-            current_a: i_a,
-            current_b: i_b,
-            response: self.device.config.comparator.compare(i_a, i_b),
-            flow_a,
-            flow_b,
-        })
+        self.device.challenge_space().validate(challenge)?;
+        let (flow_a, flow_b) =
+            dinic_pair(&self.device.grid, [&self.caps_a, &self.caps_b], challenge)?;
+        Ok(SimulationOutcome::new(flow_a, flow_b, &self.device.config.comparator))
     }
 
     /// The environment-specific max-flow instance of one network.
@@ -408,14 +381,7 @@ impl PpufExecutor<'_> {
             NetworkSide::A => &self.caps_a,
             NetworkSide::B => &self.caps_b,
         };
-        let n = self.device.config.nodes;
-        let grid = &self.device.grid;
-        let mut net = FlowNetwork::new(n);
-        for (k, (from, to)) in edge_order(n).enumerate() {
-            let bit = challenge.control_bits[grid.cell_of_edge(from, to)];
-            net.add_edge(from, to, caps.capacity(k, bit)).map_err(PpufError::Simulation)?;
-        }
-        Ok(net)
+        CapacityRows::new(&self.device.grid, caps, &challenge.control_bits).network()
     }
 
     /// The response bit via the fast path.
@@ -431,19 +397,6 @@ impl PpufExecutor<'_> {
             resolution: self.device.config.comparator.resolution.value(),
         })
     }
-
-    fn flow_pair(&self, challenge: &Challenge) -> Result<(Flow, Flow), PpufError> {
-        let net_a = self.flow_network(NetworkSide::A, challenge)?;
-        let net_b = self.flow_network(NetworkSide::B, challenge)?;
-        let solver = Dinic::new();
-        let flow_a = solver
-            .max_flow(&net_a, challenge.source, challenge.sink)
-            .map_err(PpufError::Simulation)?;
-        let flow_b = solver
-            .max_flow(&net_b, challenge.source, challenge.sink)
-            .map_err(PpufError::Simulation)?;
-        Ok((flow_a, flow_b))
-    }
 }
 
 /// Convenience: the error type for a failed analog convergence, re-exported
@@ -453,6 +406,7 @@ pub type ExecutionError = SolveError;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppuf_maxflow::{Dinic, MaxFlowSolver};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -27,7 +27,7 @@ use crate::challenge::Challenge;
 use crate::crossbar::edge_index;
 use crate::device::PpufExecutor;
 use crate::error::PpufError;
-use crate::public_model::{NetworkSide, PublicModel, PublishedCapacities};
+use crate::public_model::{CapacityRows, NetworkSide, PublicModel};
 
 /// Default absolute current tolerance for the verifier's feasibility and
 /// optimality checks (see [`Verifier::with_tolerance`]).
@@ -234,7 +234,11 @@ impl Verifier {
                 network_edges: n * (n - 1),
             }));
         }
-        let rows = CapacityRows::new(&self.model, side, challenge);
+        let rows = CapacityRows::new(
+            self.model.grid(),
+            self.model.capacities(side),
+            &challenge.control_bits,
+        );
         let tol = self.tolerance;
         let (source, sink) = (challenge.source.index(), challenge.sink.index());
 
@@ -283,55 +287,6 @@ impl Verifier {
             });
         }
         Ok(NetworkVerdict { feasible, maximal: !sink_reached })
-    }
-}
-
-/// One network's published capacities under one challenge, read row by
-/// row in dense order without building a network.
-struct CapacityRows<'a> {
-    nodes: usize,
-    /// Nodes per grid stripe.
-    stripe: usize,
-    /// Grid dimension `l`.
-    grid: usize,
-    bits: &'a [bool],
-    caps: &'a PublishedCapacities,
-}
-
-impl<'a> CapacityRows<'a> {
-    fn new(model: &'a PublicModel, side: NetworkSide, challenge: &'a Challenge) -> Self {
-        let (nodes, grid) = (model.nodes(), model.grid().grid());
-        CapacityRows {
-            nodes,
-            stripe: nodes.div_ceil(grid),
-            grid,
-            bits: &challenge.control_bits,
-            caps: model.capacities(side),
-        }
-    }
-
-    /// Calls `visit(v, k, c)` for every edge `u → v` in dense order, with
-    /// `k` its dense index and `c` its capacity under the challenge bit of
-    /// its grid cell, until `visit` returns `false`.
-    ///
-    /// Walking the destinations stripe by stripe fixes the grid cell, and
-    /// so the capacity vector, for a whole run of edges.
-    #[inline]
-    fn scan(&self, u: usize, mut visit: impl FnMut(usize, usize, f64) -> bool) {
-        let col = u / self.stripe;
-        let mut k = u * (self.nodes - 1);
-        for (row, start) in (0..self.nodes).step_by(self.stripe).enumerate() {
-            let caps = self.caps.for_bit(self.bits[row * self.grid + col]);
-            for v in start..(start + self.stripe).min(self.nodes) {
-                if v == u {
-                    continue;
-                }
-                if !visit(v, k, caps[k]) {
-                    return;
-                }
-                k += 1;
-            }
-        }
     }
 }
 

@@ -69,7 +69,7 @@ impl SimulatingAttacker {
 
 impl Prover for SimulatingAttacker {
     fn answer(&self, challenge: &Challenge) -> Result<ProverAnswer, PpufError> {
-        let outcome = self.model.simulate(challenge, &ppuf_maxflow::Dinic::new())?;
+        let outcome = self.model.simulate_dinic(challenge)?;
         let response = outcome.response.ok_or(PpufError::UnresolvableResponse {
             difference: (outcome.current_a.value() - outcome.current_b.value()).abs(),
             resolution: self.model.comparator().resolution.value(),

@@ -13,11 +13,10 @@
 use serde::{Deserialize, Serialize};
 
 use ppuf_analog::units::Amps;
-use ppuf_maxflow::{Dinic, Flow, FlowNetwork, MaxFlowSolver};
+use ppuf_maxflow::{CompleteGraph, Dinic, Flow, FlowNetwork, MaxFlowSolver};
 
 use crate::challenge::Challenge;
 use crate::comparator::Comparator;
-use crate::crossbar::edge_order;
 use crate::error::PpufError;
 use crate::grid::GridPartition;
 
@@ -94,6 +93,109 @@ pub struct SimulationOutcome {
     pub flow_a: Flow,
     /// The full flow function on network B.
     pub flow_b: Flow,
+}
+
+impl SimulationOutcome {
+    /// The outcome of two solved networks under `comparator`.
+    pub(crate) fn new(flow_a: Flow, flow_b: Flow, comparator: &Comparator) -> Self {
+        let (current_a, current_b) = (Amps(flow_a.value()), Amps(flow_b.value()));
+        SimulationOutcome {
+            current_a,
+            current_b,
+            response: comparator.compare(current_a, current_b),
+            flow_a,
+            flow_b,
+        }
+    }
+}
+
+/// One network's capacities under one challenge, read row by row in dense
+/// order without building a network: the one place a challenge's control
+/// bits select per-edge capacities.
+pub(crate) struct CapacityRows<'a> {
+    nodes: usize,
+    /// Nodes per grid stripe.
+    stripe: usize,
+    /// Grid dimension `l`.
+    grid: usize,
+    bits: &'a [bool],
+    caps: &'a PublishedCapacities,
+}
+
+impl<'a> CapacityRows<'a> {
+    /// The rows of `caps` under control bits `bits`, which must hold one
+    /// bit per cell of `grid`.
+    pub(crate) fn new(
+        grid: &GridPartition,
+        caps: &'a PublishedCapacities,
+        bits: &'a [bool],
+    ) -> Self {
+        let nodes = grid.nodes();
+        CapacityRows { nodes, stripe: nodes.div_ceil(grid.grid()), grid: grid.grid(), bits, caps }
+    }
+
+    /// Calls `visit(v, k, c)` for every edge `u → v` in dense order, with
+    /// `k` its dense index and `c` its capacity under the challenge bit of
+    /// its grid cell, until `visit` returns `false`.
+    ///
+    /// Walking the destinations stripe by stripe fixes the grid cell, and
+    /// so the capacity vector, for a whole run of edges.
+    #[inline]
+    pub(crate) fn scan(&self, u: usize, mut visit: impl FnMut(usize, usize, f64) -> bool) {
+        let col = u / self.stripe;
+        let mut k = u * (self.nodes - 1);
+        for (row, start) in (0..self.nodes).step_by(self.stripe).enumerate() {
+            let caps = self.caps.for_bit(self.bits[row * self.grid + col]);
+            for v in start..(start + self.stripe).min(self.nodes) {
+                if v == u {
+                    continue;
+                }
+                if !visit(v, k, caps[k]) {
+                    return;
+                }
+                k += 1;
+            }
+        }
+    }
+
+    /// Writes every edge's capacity into `out`, in dense order.
+    fn fill(&self, out: &mut [f64]) {
+        for u in 0..self.nodes {
+            self.scan(u, |_, k, c| {
+                out[k] = c;
+                true
+            });
+        }
+    }
+
+    /// The network these capacities define.
+    pub(crate) fn network(&self) -> Result<FlowNetwork, PpufError> {
+        let mut caps = vec![0.0; self.nodes * (self.nodes - 1)];
+        self.fill(&mut caps);
+        let mut next = caps.into_iter();
+        FlowNetwork::complete(self.nodes, |_, _| next.next().expect("one capacity per edge"))
+            .map_err(PpufError::Simulation)
+    }
+}
+
+/// Both networks' max flows under a challenge already checked against
+/// `grid`: [`Dinic::max_flow_complete`] on each side's selected
+/// capacities, with one capacity buffer and one residual layout for both.
+pub(crate) fn dinic_pair(
+    grid: &GridPartition,
+    sides: [&PublishedCapacities; 2],
+    challenge: &Challenge,
+) -> Result<(Flow, Flow), PpufError> {
+    let n = grid.nodes();
+    let mut caps = vec![0.0; n * (n - 1)];
+    let mut graph = CompleteGraph::new(n);
+    let mut solve = |published| {
+        CapacityRows::new(grid, published, &challenge.control_bits).fill(&mut caps);
+        Dinic::new()
+            .max_flow_complete(&mut graph, &caps, challenge.source, challenge.sink)
+            .map_err(PpufError::Simulation)
+    };
+    Ok((solve(sides[0])?, solve(sides[1])?))
 }
 
 /// The published model of one PPUF: everything an attacker (or verifier)
@@ -207,19 +309,14 @@ impl PublicModel {
         challenge: &Challenge,
     ) -> Result<FlowNetwork, PpufError> {
         self.check_challenge(challenge)?;
-        let caps = self.capacities(side);
-        let mut net = FlowNetwork::new(self.nodes);
-        for (k, (from, to)) in edge_order(self.nodes).enumerate() {
-            let bit = challenge.control_bits[self.grid.cell_of_edge(from, to)];
-            net.add_edge(from, to, caps.capacity(k, bit)).map_err(PpufError::Simulation)?;
-        }
-        Ok(net)
+        CapacityRows::new(&self.grid, self.capacities(side), &challenge.control_bits).network()
     }
 
     /// Simulates a challenge: two max-flow solves plus the comparator.
     ///
     /// This is what an attacker must do per challenge — the expensive side
-    /// of the ESG.
+    /// of the ESG. [`simulate_dinic`](Self::simulate_dinic) gives the same
+    /// result as `simulate(challenge, &Dinic::new())`, faster.
     ///
     /// # Errors
     ///
@@ -237,18 +334,26 @@ impl PublicModel {
         let flow_b = solver
             .max_flow(&net_b, challenge.source, challenge.sink)
             .map_err(PpufError::Simulation)?;
-        let (ia, ib) = (Amps(flow_a.value()), Amps(flow_b.value()));
-        Ok(SimulationOutcome {
-            current_a: ia,
-            current_b: ib,
-            response: self.comparator.compare(ia, ib),
-            flow_a,
-            flow_b,
-        })
+        Ok(SimulationOutcome::new(flow_a, flow_b, &self.comparator))
     }
 
-    /// Convenience: simulate with the default [`Dinic`] solver and return
-    /// just the response bit.
+    /// Simulates a challenge with the fastest simulator in this crate:
+    /// [`Dinic::max_flow_complete`] on each network's dense capacities,
+    /// with no network built. Bit-identical to
+    /// `simulate(challenge, &Dinic::new())`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates challenge and solver errors.
+    pub fn simulate_dinic(&self, challenge: &Challenge) -> Result<SimulationOutcome, PpufError> {
+        self.check_challenge(challenge)?;
+        let (flow_a, flow_b) =
+            dinic_pair(&self.grid, [&self.capacities_a, &self.capacities_b], challenge)?;
+        Ok(SimulationOutcome::new(flow_a, flow_b, &self.comparator))
+    }
+
+    /// Convenience: simulate with [`simulate_dinic`](Self::simulate_dinic)
+    /// and return just the response bit.
     ///
     /// # Errors
     ///
@@ -256,7 +361,7 @@ impl PublicModel {
     /// [`PpufError::UnresolvableResponse`] if the comparator cannot
     /// resolve the difference.
     pub fn response(&self, challenge: &Challenge) -> Result<bool, PpufError> {
-        let outcome = self.simulate(challenge, &Dinic::new())?;
+        let outcome = self.simulate_dinic(challenge)?;
         outcome.response.ok_or(PpufError::UnresolvableResponse {
             difference: (outcome.current_a.value() - outcome.current_b.value()).abs(),
             resolution: self.comparator.resolution.value(),

@@ -80,7 +80,7 @@ impl MaxFlowSolver for ApproxMaxFlow {
         let mut value = 0.0f64;
         let mut delta = net.max_capacity();
         if delta <= 0.0 {
-            return Ok((arcs.into_flow(net, source, sink, self.tolerance), stats));
+            return Ok((arcs.flow(source, sink, self.tolerance), stats));
         }
         let mut prev = vec![u32::MAX; n];
         // Augment along paths with bottleneck >= delta; halve delta until
@@ -95,7 +95,7 @@ impl MaxFlowSolver for ApproxMaxFlow {
                 queue.push_back(s as u32);
                 let mut reached = false;
                 'bfs: while let Some(u) = queue.pop_front() {
-                    for &a in &arcs.adj[u as usize] {
+                    for a in arcs.adj(u as usize) {
                         let v = arcs.to[a as usize] as usize;
                         if prev[v] == u32::MAX && arcs.residual[a as usize] >= delta {
                             prev[v] = a;
@@ -115,13 +115,13 @@ impl MaxFlowSolver for ApproxMaxFlow {
                 while v != s {
                     let a = prev[v];
                     bottleneck = bottleneck.min(arcs.residual[a as usize]);
-                    v = arcs.to[(a ^ 1) as usize] as usize;
+                    v = arcs.to[arcs.twin(a) as usize] as usize;
                 }
                 let mut v = t;
                 while v != s {
                     let a = prev[v];
                     arcs.push(a, bottleneck);
-                    v = arcs.to[(a ^ 1) as usize] as usize;
+                    v = arcs.to[arcs.twin(a) as usize] as usize;
                 }
                 value += bottleneck;
                 stats.augmenting_paths += 1;
@@ -134,7 +134,7 @@ impl MaxFlowSolver for ApproxMaxFlow {
             }
             delta *= 0.5;
         }
-        Ok((arcs.into_flow(net, source, sink, self.tolerance), stats))
+        Ok((arcs.flow(source, sink, self.tolerance), stats))
     }
 
     fn name(&self) -> &'static str {

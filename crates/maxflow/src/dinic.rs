@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use crate::error::MaxFlowError;
 use crate::flow::{Flow, DEFAULT_TOLERANCE};
-use crate::graph::{FlowNetwork, NodeId};
+use crate::graph::{check_terminals, FlowNetwork, NodeId};
 use crate::residual_state::ResidualArcs;
 use crate::solver::{MaxFlowSolver, SolveStats};
 
@@ -47,29 +47,74 @@ impl Dinic {
         self.tolerance
     }
 
-    /// The solve loop shared by the plain and traced entry points;
-    /// `phases`, when present, collects one augmentation count per BFS
-    /// level-graph phase (the algorithm's convergence trace), and
+    /// Max flow from `source` to `sink` on `graph`, the complete directed
+    /// graph over `n` nodes, with edge capacities `capacities` in the dense
+    /// edge order of [`FlowNetwork::complete`].
+    ///
+    /// This is `self.max_flow(&FlowNetwork::complete(n, ..), source, sink)`
+    /// without the network: the solve loads the capacities into `graph`'s
+    /// prebuilt residual layout, so one `graph` serves any number of
+    /// capacity sets. The flow is bit-identical to the network path's,
+    /// value and every edge.
+    ///
+    /// # Errors
+    ///
+    /// The errors of the network path, in its order:
+    /// [`MaxFlowError::InvalidCapacity`] for the first negative, NaN or
+    /// infinite capacity, then [`MaxFlowError::InvalidNode`] or
+    /// [`MaxFlowError::SourceIsSink`] for bad terminals.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `capacities` has `n(n − 1)` entries.
+    ///
+    /// ```
+    /// use ppuf_maxflow::{CompleteGraph, Dinic, FlowNetwork, MaxFlowSolver, NodeId};
+    /// # fn main() -> Result<(), ppuf_maxflow::MaxFlowError> {
+    /// let caps: Vec<f64> = (0..5 * 4).map(|k| 1.0 + (k % 3) as f64).collect();
+    /// let (s, t) = (NodeId::new(0), NodeId::new(4));
+    /// let mut graph = CompleteGraph::new(5);
+    /// let dense = Dinic::new().max_flow_complete(&mut graph, &caps, s, t)?;
+    /// let mut next = caps.iter();
+    /// let net = FlowNetwork::complete(5, |_, _| *next.next().unwrap())?;
+    /// assert_eq!(dense, Dinic::new().max_flow(&net, s, t)?);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn max_flow_complete(
+        &self,
+        graph: &mut CompleteGraph,
+        capacities: &[f64],
+        source: NodeId,
+        sink: NodeId,
+    ) -> Result<Flow, MaxFlowError> {
+        graph.arcs.load(capacities)?;
+        check_terminals(graph.node_count(), source, sink)?;
+        Ok(self.solve(&mut graph.arcs, source, sink, None, None).0)
+    }
+
+    /// The solve loop shared by every entry point, on terminals already
+    /// checked; `phases`, when present, collects one augmentation count
+    /// per BFS level-graph phase (the algorithm's convergence trace), and
     /// `profiler`, when present, receives per-phase wall/self times under
-    /// `maxflow.dinic.solve` (level-graph BFS vs blocking-flow DFS).
+    /// `maxflow.dinic.solve` (level-graph BFS vs blocking-flow DFS), the
+    /// path's wall time counted from the paired instant, taken before the
+    /// residual arcs were built.
     fn solve(
         &self,
-        net: &FlowNetwork,
+        arcs: &mut ResidualArcs,
         source: NodeId,
         sink: NodeId,
         mut phases: Option<&mut Vec<f64>>,
-        profiler: Option<&ppuf_telemetry::Profiler>,
-    ) -> Result<(Flow, SolveStats), MaxFlowError> {
-        net.check_terminals(source, sink)?;
-        let solve_t0 = std::time::Instant::now();
+        profiler: Option<(&ppuf_telemetry::Profiler, std::time::Instant)>,
+    ) -> (Flow, SolveStats) {
         let mut bfs_time = std::time::Duration::ZERO;
         let mut blocking_time = std::time::Duration::ZERO;
-        let mut arcs = ResidualArcs::new(net);
         let n = arcs.node_count();
         let (s, t) = (source.index(), sink.index());
         let mut stats = SolveStats::default();
         let mut state = DinicState {
-            arcs: &mut arcs,
+            arcs,
             level: vec![-1; n],
             next: vec![0; n],
             tol: self.tolerance,
@@ -87,7 +132,9 @@ impl Dinic {
             stats.bfs_passes += 1;
             let phase_start = stats.augmenting_paths;
             let t0 = profiler.map(|_| std::time::Instant::now());
-            state.next.iter_mut().for_each(|x| *x = 0);
+            for (u, next) in state.next.iter_mut().enumerate() {
+                *next = state.arcs.adj(u).start;
+            }
             loop {
                 let pushed = state.dfs(s, t, f64::INFINITY);
                 if pushed <= self.tolerance {
@@ -103,9 +150,9 @@ impl Dinic {
             }
         }
         stats.pushes = state.pushes;
-        let flow = arcs.into_flow(net, source, sink, self.tolerance);
-        if let Some(profiler) = profiler {
-            let wall = solve_t0.elapsed();
+        let flow = state.arcs.flow(source, sink, self.tolerance);
+        if let Some((profiler, started)) = profiler {
+            let wall = started.elapsed();
             profiler.record_path(
                 "maxflow.dinic.solve",
                 wall,
@@ -114,7 +161,34 @@ impl Dinic {
             profiler.record_leaf("maxflow.dinic.solve;bfs", bfs_time);
             profiler.record_leaf("maxflow.dinic.solve;blocking_flow", blocking_time);
         }
-        Ok((flow, stats))
+        (flow, stats)
+    }
+}
+
+/// The residual layout of the complete directed graph on `n` nodes, the
+/// PPUF crossbar's topology: built once, then reused by
+/// [`Dinic::max_flow_complete`] for every capacity set on that graph.
+///
+/// Only the residual capacities change from solve to solve; the arcs and
+/// their per-vertex order are fixed by `n`.
+#[derive(Debug, Clone)]
+pub struct CompleteGraph {
+    arcs: ResidualArcs,
+}
+
+impl CompleteGraph {
+    /// Lays out the complete directed graph on `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if its `2n(n − 1)` residual arcs overflow `u32` ids.
+    pub fn new(n: usize) -> Self {
+        CompleteGraph { arcs: ResidualArcs::complete(n) }
+    }
+
+    /// Number of nodes `n`.
+    pub fn node_count(&self) -> usize {
+        self.arcs.node_count()
     }
 }
 
@@ -127,8 +201,8 @@ impl Default for Dinic {
 struct DinicState<'a> {
     arcs: &'a mut ResidualArcs,
     level: Vec<i32>,
-    // iterator index into adj lists (current-arc optimization)
-    next: Vec<usize>,
+    // each vertex's next arc to try (current-arc optimization)
+    next: Vec<u32>,
     tol: f64,
     // arc saturation operations inside blocking-flow DFS
     pushes: u64,
@@ -143,7 +217,7 @@ impl DinicState<'_> {
         self.level[s] = 0;
         queue.push_back(s as u32);
         while let Some(u) = queue.pop_front() {
-            for &a in &self.arcs.adj[u as usize] {
+            for a in self.arcs.adj(u as usize) {
                 let v = self.arcs.to[a as usize] as usize;
                 if self.level[v] < 0 && self.arcs.residual[a as usize] > self.tol {
                     self.level[v] = self.level[u as usize] + 1;
@@ -160,8 +234,9 @@ impl DinicState<'_> {
             return limit;
         }
         let mut sent = 0.0;
-        while self.next[u] < self.arcs.adj[u].len() {
-            let a = self.arcs.adj[u][self.next[u]];
+        let end = self.arcs.adj(u).end;
+        while self.next[u] < end {
+            let a = self.next[u];
             let v = self.arcs.to[a as usize] as usize;
             if self.level[v] == self.level[u] + 1 && self.arcs.residual[a as usize] > self.tol {
                 let pushed = self.dfs(v, t, (limit - sent).min(self.arcs.residual[a as usize]));
@@ -188,7 +263,8 @@ impl MaxFlowSolver for Dinic {
         source: NodeId,
         sink: NodeId,
     ) -> Result<(Flow, SolveStats), MaxFlowError> {
-        self.solve(net, source, sink, None, None)
+        net.check_terminals(source, sink)?;
+        Ok(self.solve(&mut ResidualArcs::new(net), source, sink, None, None))
     }
 
     /// Emits the standard counters, and — when the recorder collects
@@ -205,7 +281,9 @@ impl MaxFlowSolver for Dinic {
     ) -> Result<(Flow, SolveStats), MaxFlowError> {
         let mut phases = Vec::new();
         let trace = if recorder.events_enabled() { Some(&mut phases) } else { None };
-        let (flow, stats) = self.solve(net, source, sink, trace, recorder.profiler())?;
+        net.check_terminals(source, sink)?;
+        let profiler = recorder.profiler().map(|p| (p, std::time::Instant::now()));
+        let (flow, stats) = self.solve(&mut ResidualArcs::new(net), source, sink, trace, profiler);
         stats.record(recorder, self.name());
         if !phases.is_empty() {
             recorder.record_event("maxflow.dinic.phase_augmentations", &phases);

@@ -79,7 +79,7 @@ impl MaxFlowSolver for EdmondsKarp {
             prev[s] = u32::MAX - 1;
             let mut reached = false;
             'bfs: while let Some(u) = queue.pop_front() {
-                for &a in &arcs.adj[u as usize] {
+                for a in arcs.adj(u as usize) {
                     let v = arcs.to[a as usize] as usize;
                     if prev[v] == u32::MAX && arcs.residual[a as usize] > self.tolerance {
                         prev[v] = a;
@@ -100,18 +100,18 @@ impl MaxFlowSolver for EdmondsKarp {
             while v != s {
                 let a = prev[v];
                 bottleneck = bottleneck.min(arcs.residual[a as usize]);
-                v = arcs.to[(a ^ 1) as usize] as usize;
+                v = arcs.to[arcs.twin(a) as usize] as usize;
             }
             // augment
             let mut v = t;
             while v != s {
                 let a = prev[v];
                 arcs.push(a, bottleneck);
-                v = arcs.to[(a ^ 1) as usize] as usize;
+                v = arcs.to[arcs.twin(a) as usize] as usize;
             }
             stats.augmenting_paths += 1;
         }
-        Ok((arcs.into_flow(net, source, sink, self.tolerance), stats))
+        Ok((arcs.flow(source, sink, self.tolerance), stats))
     }
 
     fn name(&self) -> &'static str {

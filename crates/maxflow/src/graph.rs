@@ -313,10 +313,7 @@ impl FlowNetwork {
     ///
     /// Returns [`MaxFlowError::InvalidNode`] if `v.index() >= node_count`.
     pub fn check_node(&self, v: NodeId) -> Result<(), MaxFlowError> {
-        if v.index() >= self.node_count {
-            return Err(MaxFlowError::InvalidNode { node: v, node_count: self.node_count });
-        }
-        Ok(())
+        check_node(self.node_count, v)
     }
 
     /// Validates a `(source, sink)` pair for a max-flow query.
@@ -326,12 +323,7 @@ impl FlowNetwork {
     /// - [`MaxFlowError::InvalidNode`] if either id is out of range.
     /// - [`MaxFlowError::SourceIsSink`] if they coincide.
     pub fn check_terminals(&self, source: NodeId, sink: NodeId) -> Result<(), MaxFlowError> {
-        self.check_node(source)?;
-        self.check_node(sink)?;
-        if source == sink {
-            return Err(MaxFlowError::SourceIsSink { node: source });
-        }
-        Ok(())
+        check_terminals(self.node_count, source, sink)
     }
 
     /// `true` if every ordered vertex pair is connected by exactly one edge.
@@ -350,6 +342,27 @@ impl FlowNetwork {
         }
         true
     }
+}
+
+fn check_node(node_count: usize, v: NodeId) -> Result<(), MaxFlowError> {
+    if v.index() >= node_count {
+        return Err(MaxFlowError::InvalidNode { node: v, node_count });
+    }
+    Ok(())
+}
+
+/// [`FlowNetwork::check_terminals`] for a network of `node_count` vertices.
+pub(crate) fn check_terminals(
+    node_count: usize,
+    source: NodeId,
+    sink: NodeId,
+) -> Result<(), MaxFlowError> {
+    check_node(node_count, source)?;
+    check_node(node_count, sink)?;
+    if source == sink {
+        return Err(MaxFlowError::SourceIsSink { node: source });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -116,8 +116,7 @@ impl MaxFlowSolver for HighestLabel {
         let mut excess = vec![0.0f64; n];
         let mut active = Buckets::new(n);
         // saturate source arcs
-        for i in 0..arcs.adj[s].len() {
-            let a = arcs.adj[s][i];
+        for a in arcs.adj(s) {
             let r = arcs.residual[a as usize];
             if r > tol {
                 let v = arcs.to[a as usize] as usize;
@@ -135,8 +134,7 @@ impl MaxFlowSolver for HighestLabel {
             while excess[u] > tol && height[u] < lift {
                 let mut min_height = u32::MAX;
                 let mut pushed = false;
-                for i in 0..arcs.adj[u].len() {
-                    let a = arcs.adj[u][i];
+                for a in arcs.adj(u) {
                     let r = arcs.residual[a as usize];
                     if r <= tol {
                         continue;
@@ -183,7 +181,7 @@ impl MaxFlowSolver for HighestLabel {
             }
         }
         return_excess(&mut arcs, &mut excess, s, t, tol);
-        Ok((arcs.into_flow(net, source, sink, tol), stats))
+        Ok((arcs.flow(source, sink, tol), stats))
     }
 
     fn name(&self) -> &'static str {
@@ -201,9 +199,9 @@ fn backward_bfs_labels(arcs: &ResidualArcs, s: usize, t: usize, tol: f64) -> Vec
     queue.push_back(t as u32);
     while let Some(u) = queue.pop_front() {
         let hu = height[u as usize];
-        for &a in &arcs.adj[u as usize] {
+        for a in arcs.adj(u as usize) {
             let v = arcs.to[a as usize] as usize;
-            if height[v] == inf && v != s && arcs.residual[(a ^ 1) as usize] > tol {
+            if height[v] == inf && v != s && arcs.residual[arcs.twin(a) as usize] > tol {
                 height[v] = hu + 1;
                 queue.push_back(v as u32);
             }

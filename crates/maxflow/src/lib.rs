@@ -64,7 +64,7 @@ mod solver;
 
 pub use approx::ApproxMaxFlow;
 pub use decompose::{decompose_flow, FlowPath};
-pub use dinic::Dinic;
+pub use dinic::{CompleteGraph, Dinic};
 pub use edmonds_karp::EdmondsKarp;
 pub use error::MaxFlowError;
 pub use flow::{FeasibilityReport, Flow, DEFAULT_TOLERANCE};

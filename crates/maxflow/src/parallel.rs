@@ -102,8 +102,7 @@ impl MaxFlowSolver for ParallelPushRelabel {
         let mut excess = vec![0.0f64; n];
         height[s] = n as u32;
         // saturate all source arcs
-        for i in 0..arcs.adj[s].len() {
-            let a = arcs.adj[s][i];
+        for a in arcs.adj(s) {
             let r = arcs.residual[a as usize];
             if r > self.tolerance {
                 let v = arcs.to[a as usize] as usize;
@@ -149,7 +148,7 @@ impl MaxFlowSolver for ParallelPushRelabel {
             let mut any_push = false;
             for plan in &plans {
                 for p in plan {
-                    let u = arcs.to[(p.arc ^ 1) as usize] as usize;
+                    let u = arcs.to[arcs.twin(p.arc) as usize] as usize;
                     let v = arcs.to[p.arc as usize] as usize;
                     arcs.push(p.arc, p.amount);
                     stats.pushes += 1;
@@ -169,7 +168,7 @@ impl MaxFlowSolver for ParallelPushRelabel {
                 // admissible at old heights after the apply phase?
                 let mut min_h = u32::MAX;
                 let mut admissible = false;
-                for &a in &arcs.adj[u] {
+                for a in arcs.adj(u) {
                     if arcs.residual[a as usize] <= self.tolerance {
                         continue;
                     }
@@ -194,7 +193,7 @@ impl MaxFlowSolver for ParallelPushRelabel {
             }
         }
         return_excess(&mut arcs, &mut excess, s, t, self.tolerance);
-        Ok((arcs.into_flow(net, source, sink, self.tolerance), stats))
+        Ok((arcs.flow(source, sink, self.tolerance), stats))
     }
 
     fn name(&self) -> &'static str {
@@ -217,7 +216,7 @@ fn plan_chunk(
         if remaining <= tol {
             continue;
         }
-        for &a in &arcs.adj[u] {
+        for a in arcs.adj(u) {
             let r = arcs.residual[a as usize];
             if r <= tol {
                 continue;

@@ -92,12 +92,12 @@ impl PrState {
         queue.push_back(self.t as u32);
         while let Some(u) = queue.pop_front() {
             let hu = self.height[u as usize];
-            for &a in &self.arcs.adj[u as usize] {
+            for a in self.arcs.adj(u as usize) {
                 // arc a^1 points v -> u; usable if it has residual capacity
                 let v = self.arcs.to[a as usize] as usize;
                 if self.height[v] == inf
                     && v != self.s
-                    && self.arcs.residual[(a ^ 1) as usize] > self.tol
+                    && self.arcs.residual[self.arcs.twin(a) as usize] > self.tol
                 {
                     self.height[v] = hu + 1;
                     queue.push_back(v as u32);
@@ -126,9 +126,7 @@ impl PrState {
         while self.excess[u] > self.tol {
             let mut min_height = u32::MAX;
             let mut pushed_any = false;
-            // iterate over a snapshot of arc ids; adj lists never change
-            for i in 0..self.arcs.adj[u].len() {
-                let a = self.arcs.adj[u][i];
+            for a in self.arcs.adj(u) {
                 let r = self.arcs.residual[a as usize];
                 if r <= self.tol {
                     continue;
@@ -226,8 +224,7 @@ impl PushRelabel {
             global_time += t0.elapsed();
         }
         // saturate all source arcs
-        for i in 0..st.arcs.adj[s].len() {
-            let a = st.arcs.adj[s][i];
+        for a in st.arcs.adj(s) {
             let r = st.arcs.residual[a as usize];
             if r > self.tolerance {
                 let v = st.arcs.to[a as usize] as usize;
@@ -271,7 +268,7 @@ impl PushRelabel {
         crate::residual_state::return_excess(&mut st.arcs, &mut st.excess, s, t, self.tolerance);
         let return_time = t0.map_or(std::time::Duration::ZERO, |t0| t0.elapsed());
         let stats = st.stats;
-        let flow = st.arcs.into_flow(net, source, sink, self.tolerance);
+        let flow = st.arcs.flow(source, sink, self.tolerance);
         if let Some(profiler) = profiler {
             let wall = solve_t0.elapsed();
             profiler.record_path(

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 
 use ppuf_maxflow::{
-    decompose_flow, dimacs, ApproxMaxFlow, Dinic, EdmondsKarp, FlowNetwork, HighestLabel,
-    MaxFlowSolver, MinCut, NodeId, ParallelPushRelabel, PushRelabel, ResidualGraph,
+    decompose_flow, dimacs, ApproxMaxFlow, CompleteGraph, Dinic, EdmondsKarp, FlowNetwork,
+    HighestLabel, MaxFlowSolver, MinCut, NodeId, ParallelPushRelabel, PushRelabel, ResidualGraph,
 };
 
 /// Strategy: a random sparse network with up to `max_n` nodes.
@@ -166,5 +166,74 @@ proptest! {
         prop_assert!(d.check_feasible(&net, 1e-9).unwrap().is_feasible());
         let residual = ResidualGraph::new(&net, &d, 1e-12).unwrap();
         prop_assert!(residual.certifies_max_flow());
+    }
+}
+
+/// Strategy: a complete network's size, dense capacities with zeros and
+/// ties, and distinct terminals.
+fn dense_instance() -> impl Strategy<Value = (usize, Vec<f64>, NodeId, NodeId)> {
+    (2..=32usize).prop_flat_map(|n| {
+        // half the edges take one of four fixed levels (zero included)
+        let level = (0usize..8, 0.0f64..2.0).prop_map(|(pick, c)| {
+            if pick < 4 {
+                [0.0, 0.5, 1.0, 0.125][pick]
+            } else {
+                c
+            }
+        });
+        (proptest::collection::vec(level, n * (n - 1)), 0..n as u32, 1..n as u32).prop_map(
+            move |(caps, s, hop)| (n, caps, NodeId::new(s), NodeId::new((s + hop) % n as u32)),
+        )
+    })
+}
+
+/// The network-building path the dense entry replaces.
+fn network_path(
+    n: usize,
+    caps: &[f64],
+    s: NodeId,
+    t: NodeId,
+) -> Result<ppuf_maxflow::Flow, ppuf_maxflow::MaxFlowError> {
+    let mut next = caps.iter();
+    let net = FlowNetwork::complete(n, |_, _| *next.next().expect("one capacity per edge"))?;
+    Dinic::new().max_flow(&net, s, t)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn dense_complete_solve_is_bit_identical((n, caps, s, t) in dense_instance()) {
+        let mut graph = CompleteGraph::new(n);
+        let dense = Dinic::new().max_flow_complete(&mut graph, &caps, s, t).unwrap();
+        let built = network_path(n, &caps, s, t).unwrap();
+        prop_assert_eq!(dense.value().to_bits(), built.value().to_bits());
+        prop_assert_eq!(dense.edge_flows().len(), built.edge_flows().len());
+        for (a, b) in dense.edge_flows().iter().zip(built.edge_flows()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn dense_complete_solve_rejects_what_the_network_rejects(
+        (n, mut caps, s, t) in dense_instance(),
+        bad in 0usize..4,
+        at in 0usize..992,
+        terminal in 0u32..4,
+    ) {
+        // bad == 3 keeps the capacities valid; terminal == 0 the terminals
+        prop_assume!(bad < 3 || terminal > 0);
+        if bad < 3 {
+            caps[at % (n * (n - 1))] = [f64::NAN, -1.0, f64::INFINITY][bad];
+        }
+        let (s, t) = match terminal {
+            1 => (s, s),
+            2 => (NodeId::new(n as u32), t),
+            3 => (s, NodeId::new(n as u32 + 7)),
+            _ => (s, t),
+        };
+        let dense = Dinic::new().max_flow_complete(&mut CompleteGraph::new(n), &caps, s, t).unwrap_err();
+        let built = network_path(n, &caps, s, t).unwrap_err();
+        prop_assert_eq!(format!("{dense:?}"), format!("{built:?}"));
     }
 }
