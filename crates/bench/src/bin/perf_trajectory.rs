@@ -1,5 +1,5 @@
 //! Continuous perf-trajectory harness: one command that measures the
-//! engine and service smoke profiles, gates them, and appends the
+//! engine and async service smoke profiles, gates them, and appends the
 //! result to the repo's append-only `BENCH_trajectory.json`.
 //!
 //! ```text
@@ -15,15 +15,13 @@
 //! - the engine cold solve regressed more than 2× against the committed
 //!   `results/bench/engine-smoke-baseline.json`, or the profiler's
 //!   device-eval self-time share drifted out of that baseline's band;
-//! - any loadgen smoke invariant is violated — including the service
-//!   ending the run with an SLO health status other than `Ok`;
 //! - the async concurrency smoke (512 multiplexed connections against
 //!   one reactor process, binary wire) violates an invariant, or its
 //!   throughput/p99 regresses past the committed
 //!   `results/service/async-smoke-baseline.json`.
 //!
 //! On success it appends a [`TrajectoryEntry`] (git commit/branch, the
-//! engine point, the service point) and prints the delta against the
+//! engine point, the async service point) and prints the delta against the
 //! previous entry, so a perf drift is visible in the diff of a single
 //! committed file rather than buried in CI logs.
 
@@ -33,10 +31,10 @@ use ppuf_bench::engine_profile::{
 };
 use ppuf_bench::report::{section, write_json_report, SERVICE_DIR};
 use ppuf_bench::trajectory::{
-    check_async_baseline, git_metadata, AsyncServiceSample, ServiceSample, Trajectory,
-    TrajectoryEntry, TRAJECTORY_PATH,
+    check_async_baseline, git_metadata, AsyncServiceSample, Trajectory, TrajectoryEntry,
+    TRAJECTORY_PATH,
 };
-use ppuf_server::loadgen::{run_async_loadgen, run_loadgen, AsyncLoadgenConfig, LoadgenConfig};
+use ppuf_server::loadgen::{run_async_loadgen, AsyncLoadgenConfig};
 
 fn arg_after(flag: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -104,28 +102,6 @@ fn main() {
         }
     }
 
-    section("service smoke");
-    let config = LoadgenConfig::smoke();
-    let report = match run_loadgen(&config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("loadgen failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "  {} requests in {:.2}s -> {:.1} req/s, health {:?}",
-        report.total_requests, report.duration_s, report.throughput_rps, report.health.status
-    );
-    let path = write_json_report(&config.label, &report.to_json(), SERVICE_DIR)
-        .expect("write service json");
-    println!("  report -> {}", path.display());
-    if let Err(violation) = report.check_smoke_invariants() {
-        eprintln!("smoke invariant violated: {violation}");
-        std::process::exit(1);
-    }
-    println!("  smoke invariants hold (health {:?})", report.health.status);
-
     section("async concurrency smoke");
     let async_config = AsyncLoadgenConfig::smoke();
     println!(
@@ -184,7 +160,6 @@ fn main() {
     println!("  async smoke invariants hold");
 
     section("trajectory");
-    let honest = report.honest.latency.expect("honest latency recorded");
     let (git_commit, git_branch) = git_metadata();
     let entry = TrajectoryEntry {
         label,
@@ -195,14 +170,7 @@ fn main() {
         git_commit,
         git_branch,
         engine,
-        service: ServiceSample {
-            total_requests: report.total_requests as u64,
-            throughput_rps: report.throughput_rps,
-            p50_ms: honest.p50,
-            p95_ms: honest.p95,
-            p99_ms: honest.p99,
-            health: format!("{:?}", report.health.status),
-        },
+        service: None,
         async_service: Some(async_sample),
     };
     let trajectory = match Trajectory::append(&trajectory_path, entry) {

@@ -1,16 +1,14 @@
-//! Drives the PPUF verification service with concurrent honest,
-//! impostor, and garbage clients over real TCP and writes a throughput /
-//! latency-percentile report under `results/service/`.
+//! Drives the PPUF verification service with honest, impostor, and
+//! garbage cohorts over many multiplexed connections and writes a
+//! throughput / latency-percentile report under `results/service/`.
 //!
 //! ```text
-//! # thread-per-client blocking cohorts (wire 1.x)
-//! cargo run --release --bin ppuf_loadgen [-- --smoke] [--clients N]
-//!     [--requests N] [--workers N] [--nodes N] [--label NAME] [--out DIR]
-//!
-//! # multiplexed async cohorts: one event-loop client, N connections x
-//! # pipeline D streams against the epoll reactor tier
-//! cargo run --release --bin ppuf_loadgen -- --connections 512
-//!     [--pipeline D] [--wire json|binary] [--rounds R] [--smoke] ...
+//! # one event-loop client: N connections x pipeline D streams against
+//! # the epoll server, in this process
+//! cargo run --release --bin ppuf_loadgen -- [--smoke] [--connections N]
+//!     [--pipeline D] [--wire json|binary] [--rounds R] [--workers N]
+//!     [--nodes N] [--max-connections N] [--deadline S] [--label NAME]
+//!     [--out DIR]
 //!
 //! # two-process high-connection-count demo (each process stays inside
 //! # its own file-descriptor budget)
@@ -19,16 +17,16 @@
 //!     --connections 10000 --wire binary
 //! ```
 //!
-//! `--smoke` selects the CI profile (small device, 2 workers) and
-//! additionally *checks* its invariants, exiting non-zero if any fails —
-//! honest traffic accepted, impostors rejected on the deadline, garbage
-//! answered with structured errors, and (async mode) every binary
-//! response carrying the correlation id of its request.
+//! `--smoke` selects the CI profile (512 connections, binary wire,
+//! pipeline 2) and additionally *checks* its invariants, exiting
+//! non-zero if any fails — honest traffic accepted, impostors rejected
+//! on the deadline, garbage answered with structured errors, and every
+//! response carrying its request's correlation id (binary wire) or every
+//! verdict its trace id (JSON wire).
 
 use ppuf_bench::report::{section, write_json_report, SERVICE_DIR};
 use ppuf_server::loadgen::{
-    run_async_loadgen, run_async_loadgen_at, run_loadgen, AsyncLoadgenConfig, AsyncLoadgenReport,
-    CohortReport, LoadgenConfig,
+    run_async_loadgen, run_async_loadgen_at, AsyncLoadgenConfig, AsyncLoadgenReport, CohortReport,
 };
 use ppuf_server::mux::WireFlavor;
 
@@ -48,7 +46,7 @@ fn has_flag(flag: &str) -> bool {
 
 fn cohort_row(name: &str, cohort: &CohortReport) {
     print!(
-        "  {name:<9} {:>3} clients  {:>4} requests  {:>4} accepted  {:>4} deadline-rejected  {:>4} errors",
+        "  {name:<9} {:>5} conns  {:>4} rounds  {:>4} accepted  {:>4} deadline-rejected  {:>4} errors",
         cohort.clients, cohort.requests, cohort.accepted, cohort.rejected_deadline,
         cohort.structured_errors,
     );
@@ -60,15 +58,17 @@ fn cohort_row(name: &str, cohort: &CohortReport) {
     }
 }
 
-/// Builds the async profile: `--connections` is split ~92/4/4 across
+/// Builds the run profile: `--connections` is split ~92/4/4 across
 /// honest/impostor/garbage cohorts (512 -> 472/20/20, the CI smoke).
-fn async_config(smoke: bool, connections: usize) -> AsyncLoadgenConfig {
+fn async_config(smoke: bool) -> AsyncLoadgenConfig {
     let mut config =
         if smoke { AsyncLoadgenConfig::smoke() } else { AsyncLoadgenConfig::default() };
-    let side = (connections / 25).max(1);
-    config.impostor_connections = side;
-    config.garbage_connections = side;
-    config.honest_connections = connections.saturating_sub(2 * side).max(1);
+    if let Some(connections) = arg_after("--connections").and_then(|v| v.parse::<usize>().ok()) {
+        let side = (connections / 25).max(1);
+        config.impostor_connections = side;
+        config.garbage_connections = side;
+        config.honest_connections = connections.saturating_sub(2 * side).max(1);
+    }
     if let Some(n) = arg_after("--pipeline").and_then(|v| v.parse().ok()) {
         config.pipeline = n;
     }
@@ -112,7 +112,7 @@ fn serve_forever() -> ! {
     use ppuf_server::{AsyncConfig, AsyncServer};
     use std::sync::Arc;
 
-    let template = async_config(has_flag("--smoke"), 0);
+    let template = async_config(has_flag("--smoke"));
     let addr = arg_after("--addr").unwrap_or_else(|| "127.0.0.1:4747".to_string());
     let service = VerificationService::new(ServiceConfig {
         workers: template.workers,
@@ -176,14 +176,26 @@ fn print_async_report(report: &AsyncLoadgenReport) {
         report.shed_requests,
         report.reaped_connections
     );
+    if report.config.wire == WireFlavor::Json {
+        println!(
+            "  tracing: {}/{} verdict rounds correlated end to end ({} trace ids echoed)",
+            report.correlated_traces,
+            report.verdict_rounds(),
+            report.traced_requests
+        );
+    }
+    println!("  health {:?}", report.health.status);
 }
 
-fn run_async_mode(connections: usize) -> ! {
+fn main() {
+    if has_flag("--serve") {
+        serve_forever();
+    }
     let smoke = has_flag("--smoke");
-    let config = async_config(smoke, connections);
+    let config = async_config(smoke);
     let out_dir = arg_after("--out").unwrap_or_else(|| SERVICE_DIR.to_string());
 
-    section(&format!("async loadgen: {}", config.label));
+    section(&format!("loadgen: {}", config.label));
     println!(
         "  {} connections ({} honest / {} impostor / {} garbage) x pipeline {}, {:?} wire",
         config.connections(),
@@ -207,7 +219,7 @@ fn run_async_mode(connections: usize) -> ! {
     let report = match result {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("async loadgen failed: {e}");
+            eprintln!("loadgen failed: {e}");
             std::process::exit(1);
         }
     };
@@ -215,86 +227,6 @@ fn run_async_mode(connections: usize) -> ! {
     let path =
         write_json_report(&config.label, &report.to_json(), &out_dir).expect("report written");
     println!("  report -> {}", path.display());
-    if smoke {
-        if let Err(violation) = report.check_smoke_invariants() {
-            eprintln!("async smoke invariant violated: {violation}");
-            std::process::exit(1);
-        }
-        println!("  async smoke invariants hold");
-    }
-    std::process::exit(0);
-}
-
-fn main() {
-    if has_flag("--serve") {
-        serve_forever();
-    }
-    if let Some(connections) = arg_after("--connections").and_then(|v| v.parse().ok()) {
-        run_async_mode(connections);
-    }
-
-    let smoke = has_flag("--smoke");
-    let mut config = if smoke { LoadgenConfig::smoke() } else { LoadgenConfig::default() };
-    if let Some(n) = arg_after("--clients").and_then(|v| v.parse().ok()) {
-        config.honest_clients = n;
-    }
-    if let Some(n) = arg_after("--requests").and_then(|v| v.parse().ok()) {
-        config.requests_per_client = n;
-    }
-    if let Some(n) = arg_after("--workers").and_then(|v| v.parse().ok()) {
-        config.workers = n;
-    }
-    if let Some(n) = arg_after("--nodes").and_then(|v| v.parse().ok()) {
-        config.nodes = n;
-    }
-    if let Some(label) = arg_after("--label") {
-        config.label = label;
-    }
-    let out_dir = arg_after("--out").unwrap_or_else(|| SERVICE_DIR.to_string());
-
-    section(&format!("loadgen: {}", config.label));
-    println!(
-        "  device n={} grid={}  {} workers, queue {}  deadline {} s  {} total requests",
-        config.nodes,
-        config.grid,
-        config.workers,
-        config.queue_capacity,
-        config.deadline_s,
-        config.total_requests()
-    );
-
-    let report = match run_loadgen(&config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("loadgen failed: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    section("cohorts");
-    cohort_row("honest", &report.honest);
-    cohort_row("impostor", &report.impostor);
-    cohort_row("garbage", &report.garbage);
-
-    section("totals");
-    println!(
-        "  {} requests in {:.2} s -> {:.1} req/s",
-        report.total_requests, report.duration_s, report.throughput_rps
-    );
-    let hits = report.server_counters.get("server.cache.hits").copied().unwrap_or(0);
-    let misses = report.server_counters.get("server.cache.misses").copied().unwrap_or(0);
-    println!("  verification cache: {hits} hits / {misses} misses");
-    println!(
-        "  tracing: {}/{} verdict rounds correlated end to end; {} live prometheus samples",
-        report.correlated_traces,
-        report.traced_requests,
-        report.prometheus_samples.len()
-    );
-
-    let path =
-        write_json_report(&config.label, &report.to_json(), &out_dir).expect("report written");
-    println!("  report -> {}", path.display());
-
     if smoke {
         if let Err(violation) = report.check_smoke_invariants() {
             eprintln!("smoke invariant violated: {violation}");

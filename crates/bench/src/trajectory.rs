@@ -5,9 +5,10 @@
 //! [`Trajectory`] wraps the `BENCH_trajectory.json` file at the repo
 //! root: `{"schema": 1, "entries": [...]}` where every
 //! [`TrajectoryEntry`] records the engine smoke point (cold-solve
-//! seconds at n = 200), the service smoke point (throughput and latency
-//! percentiles from the loadgen run plus its final SLO health), and git
-//! metadata identifying the measured tree. `perf_trajectory --smoke`
+//! seconds at n = 200), the async concurrency smoke point (throughput and
+//! request latency over 512 multiplexed connections), and git metadata
+//! identifying the measured tree. Entries measured before the blocking
+//! service smoke was retired also carry its point. `perf_trajectory --smoke`
 //! appends one entry per CI run and prints the delta against the
 //! previous entry.
 
@@ -23,7 +24,9 @@ pub const TRAJECTORY_PATH: &str = "BENCH_trajectory.json";
 /// Current trajectory file schema.
 pub const TRAJECTORY_SCHEMA: u32 = 1;
 
-/// The service smoke operating point distilled from a loadgen report.
+/// The blocking service smoke operating point. Only entries measured
+/// before that smoke was retired carry one; its throughput was set by the
+/// impostor cohort's deadline sleeps, not by the server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSample {
     /// Requests completed across all cohorts.
@@ -79,8 +82,9 @@ pub struct TrajectoryEntry {
     pub git_branch: String,
     /// The engine smoke measurement.
     pub engine: EngineSmoke,
-    /// The service smoke measurement.
-    pub service: ServiceSample,
+    /// The blocking service smoke measurement, in entries measured before
+    /// it was retired (`None` since).
+    pub service: Option<ServiceSample>,
     /// The async concurrency smoke, once the reactor tier exists
     /// (`None` in entries measured before it).
     pub async_service: Option<AsyncServiceSample>,
@@ -162,20 +166,24 @@ impl Trajectory {
             }
         };
         let mut diff = format!(
-            "vs {} ({}): engine cold {:.3}s -> {:.3}s ({:+.1}%), \
-             service {:.1} -> {:.1} req/s ({:+.1}%), p99 {:.2} -> {:.2} ms ({:+.1}%)",
+            "vs {} ({}): engine cold {:.3}s -> {:.3}s ({:+.1}%)",
             prev.git_commit,
             prev.label,
             prev.engine.cold_seconds,
             last.engine.cold_seconds,
             pct(prev.engine.cold_seconds, last.engine.cold_seconds),
-            prev.service.throughput_rps,
-            last.service.throughput_rps,
-            pct(prev.service.throughput_rps, last.service.throughput_rps),
-            prev.service.p99_ms,
-            last.service.p99_ms,
-            pct(prev.service.p99_ms, last.service.p99_ms),
         );
+        if let (Some(p), Some(l)) = (&prev.service, &last.service) {
+            diff.push_str(&format!(
+                ", service {:.1} -> {:.1} req/s ({:+.1}%), p99 {:.2} -> {:.2} ms ({:+.1}%)",
+                p.throughput_rps,
+                l.throughput_rps,
+                pct(p.throughput_rps, l.throughput_rps),
+                p.p99_ms,
+                l.p99_ms,
+                pct(p.p99_ms, l.p99_ms),
+            ));
+        }
         if let (Some(p), Some(l)) = (&prev.async_service, &last.async_service) {
             diff.push_str(&format!(
                 ", async {:.0} -> {:.0} rounds/s ({:+.1}%) at {} conns",
@@ -269,14 +277,14 @@ mod tests {
                 sparse_grid: None,
                 profile: None,
             },
-            service: ServiceSample {
+            service: Some(ServiceSample {
                 total_requests: 100,
                 throughput_rps: rps,
                 p50_ms: 5.0,
                 p95_ms: 9.0,
                 p99_ms: 12.0,
                 health: "Ok".into(),
-            },
+            }),
             async_service: Some(AsyncServiceSample {
                 connections: 512,
                 pipeline: 2,
@@ -326,6 +334,34 @@ mod tests {
         std::fs::write(&path, "{\"schema\": 99, \"entries\": []}").unwrap();
         let err = Trajectory::load(&path).unwrap_err();
         assert!(err.contains("schema 99"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn committed_trajectory_parses_with_its_service_points() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../", "BENCH_trajectory.json");
+        let trajectory = Trajectory::load(path).unwrap();
+        assert!(trajectory.entries.len() >= 4, "{} entries", trajectory.entries.len());
+        // the four entries measured while the blocking smoke ran carry it
+        assert!(trajectory.entries[..4].iter().all(|e| e.service.is_some()));
+    }
+
+    #[test]
+    fn entry_without_service_point_round_trips_and_diffs() {
+        let path = temp_path("no-service");
+        let _ = std::fs::remove_file(&path);
+        let old = entry("a", 10.0, 50.0);
+        let new = TrajectoryEntry { service: None, ..entry("b", 9.0, 55.0) };
+        Trajectory::append(&path, old).unwrap();
+        let trajectory = Trajectory::append(&path, new.clone()).unwrap();
+        assert_eq!(Trajectory::load(&path).unwrap(), trajectory);
+        assert_eq!(trajectory.entries[1], new);
+
+        // a service delta needs a service point on both sides
+        let diff = trajectory.diff_last().expect("two entries diff");
+        assert!(diff.contains("-10.0%"), "{diff}");
+        assert!(!diff.contains("req/s"), "{diff}");
+        assert!(diff.contains("async"), "{diff}");
         let _ = std::fs::remove_file(&path);
     }
 

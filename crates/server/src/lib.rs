@@ -17,10 +17,11 @@
 //! - a sharded [`VerificationCache`] so a
 //!   repeated (device, challenge, answer) triple skips the residual-BFS
 //!   optimality passes;
-//! - a length-prefixed JSON-over-TCP front-end ([`tcp::PpufServer`] /
-//!   [`tcp::Client`]) on `std::net`;
-//! - a [`loadgen`] module driving concurrent honest, impostor, and
-//!   garbage clients over real sockets and reporting throughput and
+//! - one TCP front-end, the epoll [`AsyncServer`], which answers
+//!   length-prefixed JSON (wire 1.x) and binary (wire 2.0) frames on the
+//!   same port, plus a small blocking [`tcp::Client`] for admin traffic;
+//! - a [`loadgen`] module driving honest, impostor, and garbage cohorts
+//!   over many multiplexed connections and reporting throughput and
 //!   latency percentiles.
 //!
 //! Everything is instrumented through `ppuf-telemetry`; a service's
@@ -35,13 +36,14 @@
 //! use ppuf_core::protocol::auth::prove;
 //! use ppuf_analog::variation::Environment;
 //! use ppuf_server::service::{ServiceConfig, VerificationService};
-//! use ppuf_server::tcp::{Client, PpufServer};
+//! use ppuf_server::tcp::Client;
 //! use ppuf_server::wire::{Request, Response};
+//! use ppuf_server::{AsyncConfig, AsyncServer};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ppuf = Ppuf::generate(PpufConfig::paper(6, 2), 1)?;
 //! let service = Arc::new(VerificationService::new(ServiceConfig::default()));
-//! let server = PpufServer::bind("127.0.0.1:0", service)?;
+//! let server = AsyncServer::bind("127.0.0.1:0", service, AsyncConfig::default())?;
 //!
 //! let mut client = Client::connect(server.local_addr())?;
 //! client.request(&Request::Register {
@@ -79,10 +81,9 @@ pub use cache::VerificationCache;
 pub use health::{
     HealthReport, HealthStatus, HealthTracker, RequestOutcome, SloConfig, SloVerdict,
 };
-pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use pool::{SubmitError, VerifyOutcome, WorkerPool};
 pub use reactor::{AsyncConfig, AsyncServer};
 pub use registry::{DeviceEntry, DeviceRegistry};
 pub use service::{ServiceConfig, VerificationService};
-pub use tcp::{Client, PpufServer};
+pub use tcp::Client;
 pub use wire::{ErrorKind, Request, Response};

@@ -1,6 +1,7 @@
-//! Live tests of the async serving tier: wire-1.x byte compatibility,
-//! pipelined correlation, negotiation, slow-loris reaping, connection
-//! caps, and the end-to-end multiplexed smoke on both wires.
+//! Live tests of the serving tier: wire-1.x byte compatibility against
+//! recorded frames, pipelined correlation, negotiation, slow-loris
+//! reaping, connection caps, and the end-to-end multiplexed smoke on
+//! both wires.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -9,13 +10,13 @@ use std::time::{Duration, Instant};
 
 use ppuf_analog::units::Seconds;
 use ppuf_core::device::{Ppuf, PpufConfig};
-use ppuf_server::loadgen::{run_async_loadgen, AsyncLoadgenConfig};
+use ppuf_server::loadgen::{run_async_loadgen, AsyncLoadgenConfig, AsyncLoadgenReport};
 use ppuf_server::mux::WireFlavor;
 use ppuf_server::service::{ServiceConfig, VerificationService};
-use ppuf_server::tcp::{Client, PpufServer};
+use ppuf_server::tcp::Client;
 use ppuf_server::wire::{Request, Response};
 use ppuf_server::wire2::{self, opcode};
-use ppuf_server::{AsyncConfig, AsyncServer};
+use ppuf_server::{AsyncConfig, AsyncServer, HealthStatus};
 
 const SEED: u64 = 23;
 
@@ -75,13 +76,34 @@ fn raw_frame_of(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// The wire-1.x lock: a blocking client must receive byte-identical
-/// response frames from the legacy thread-per-connection server and the
-/// async reactor, across bare requests, malformed payloads, and the
-/// trace envelope.
+/// The response frames the thread-per-connection server that preceded
+/// [`AsyncServer`] returned for the six exchanges below, recorded byte
+/// for byte: the 4-byte big-endian length prefix, then the JSON payload.
+/// No field is nondeterministic — error messages are fixed strings and
+/// the envelope echoes the client's own trace id 7.
+const RECORDED_RESPONSES: [(&[u8; 4], &[u8]); 6] = [
+    (b"\0\0\0\x06", br#""Pong""#),
+    (
+        b"\0\0\0\x70",
+        br#"{"Error":{"kind":"UnknownDevice","message":"device \"no-such-device\" is not registered","retry_after_ms":null}}"#,
+    ),
+    (
+        b"\0\0\0\x64",
+        br#"{"Error":{"kind":"Malformed","message":"json error: expected '\"' at byte 1","retry_after_ms":null}}"#,
+    ),
+    (
+        b"\0\0\0\xa2",
+        br#"{"Error":{"kind":"Malformed","message":"json error: serde error: Request: unrecognized variant Map([(\"Bogus\", Map([(\"x\", Int(1))]))])","retry_after_ms":null}}"#,
+    ),
+    (b"\0\0\0\x1c", br#"{"trace_id":7,"body":"Pong"}"#),
+    (b"\0\0\0\x06", br#""Pong""#),
+];
+
+/// The wire-1.x lock: a blocking client must receive exactly the
+/// recorded response frames, across bare requests, malformed payloads,
+/// and the trace envelope.
 #[test]
-fn wire_1x_responses_are_byte_identical_to_the_legacy_server() {
-    let mut legacy = PpufServer::bind("127.0.0.1:0", service(SEED)).expect("legacy bind");
+fn wire_1x_responses_match_the_recorded_frames() {
     let reactor = bind_async(AsyncConfig::default());
 
     let exchanges: Vec<Vec<u8>> = vec![
@@ -94,23 +116,19 @@ fn wire_1x_responses_are_byte_identical_to_the_legacy_server() {
         json_frame_of(&Request::Ping),
     ];
 
-    let against = |addr: SocketAddr| -> Vec<Vec<u8>> {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        exchanges.iter().map(|frame| raw_json_exchange(&mut stream, frame)).collect()
-    };
-    let from_legacy = against(legacy.local_addr());
-    let from_reactor = against(reactor.local_addr());
-    for (i, (a, b)) in from_legacy.iter().zip(&from_reactor).enumerate() {
+    let mut stream = TcpStream::connect(reactor.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    for (i, (frame, (prefix, payload))) in exchanges.iter().zip(RECORDED_RESPONSES).enumerate() {
+        let got = raw_json_exchange(&mut stream, frame);
+        let want = [&prefix[..], payload].concat();
         assert_eq!(
-            a,
-            b,
-            "exchange {i}: legacy {:?} vs reactor {:?}",
-            String::from_utf8_lossy(a),
-            String::from_utf8_lossy(b)
+            got,
+            want,
+            "exchange {i}: reactor {:?} vs recorded {:?}",
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&want)
         );
     }
-    legacy.shutdown();
 }
 
 /// Pipelined binary requests complete out of order but every response
@@ -367,14 +385,88 @@ fn async_loadgen_smoke_binary_wire() {
     assert_eq!(report.total_rounds, 32);
     assert!(report.mux.corr_echoed > 0);
     assert_eq!(report.mux.corr_echoed, report.mux.responses);
+    assert_eq!(report.traced_requests, 0, "the binary wire has no trace envelope");
 }
 
 /// The same cohorts over wire-1.x JSON: pipelining works with in-order
-/// response matching and no correlation ids.
+/// response matching and no correlation ids, every answer rides a trace
+/// envelope, and the small profile ends with a healthy service whose own
+/// accounting matches the client-side view.
 #[test]
 fn async_loadgen_smoke_json_wire() {
     let report = run_async_loadgen(&small_async_profile(WireFlavor::Json)).expect("async loadgen");
     report.check_smoke_invariants().expect("async smoke invariants");
-    assert_eq!(report.total_rounds, 32);
     assert_eq!(report.mux.corr_echoed, 0, "JSON wire has no correlation ids");
+
+    // exact cohort counts: 16 connections x pipeline 2, one round each
+    assert_eq!(report.total_rounds, 32);
+    assert_eq!(report.honest.requests, 24);
+    assert_eq!(report.honest.accepted, 24, "{:?}", report.honest);
+    assert_eq!(report.impostor.requests, 4);
+    assert_eq!(report.impostor.rejected_deadline, 4, "{:?}", report.impostor);
+    assert_eq!(report.garbage.requests, 4);
+    assert_eq!(report.garbage.structured_errors, 4, "{:?}", report.garbage);
+    assert_eq!(report.shed_requests, 0);
+
+    // the verification cache absorbed repeated answers: the challenge
+    // pool rotates 4 challenges, so among 28 verified answers at most a
+    // handful can miss
+    let counter = |name: &str| report.server_counters.get(name).copied();
+    let hits = counter("server.cache.hits").unwrap_or(0);
+    let misses = counter("server.cache.misses").unwrap_or(0);
+    assert!(hits > 0, "no cache hits: counters = {:?}", report.server_counters);
+    assert!(hits + misses >= 28, "every verified answer passes through the cache");
+
+    // server-side accounting matches the client-side view; the garbage
+    // streams' rotation sends one frame that is not JSON and one that is
+    // JSON but not a request, each answered `Malformed`
+    assert_eq!(counter("server.answers.accepted"), Some(24));
+    assert_eq!(counter("server.answers.rejected"), Some(4));
+    assert_eq!(counter("server.answers.rejected_deadline"), Some(4));
+    assert_eq!(counter("server.requests.malformed"), Some(2));
+    assert!(counter("analog.dc.warm_start_hits").unwrap_or(0) > 0);
+    assert!(report.server_warnings.is_empty(), "{:?}", report.server_warnings);
+
+    // latency percentiles exist and are ordered
+    let latency = report.honest.latency.expect("honest latency recorded");
+    assert_eq!(latency.count, 24);
+    assert!(latency.p50 <= latency.p95 && latency.p95 <= latency.p99);
+    assert!(latency.min <= latency.p50 && latency.p99 <= latency.max);
+
+    // the percentiles come from the bounded histogram riding along in
+    // the report, so summary and snapshot must agree exactly
+    let hist = report.honest.latency_hist.clone().expect("honest latency histogram recorded");
+    assert_eq!(hist.count, 24);
+    assert_eq!(hist.quantile(0.5), Some(latency.p50));
+    assert_eq!(hist.quantile(0.95), Some(latency.p95));
+    assert_eq!(hist.quantile(0.99), Some(latency.p99));
+
+    // the service ends the run healthy, with all three SLO verdicts
+    // present and the matching gauge exposed on the scrape
+    assert_eq!(report.health.status, HealthStatus::Ok, "{:?}", report.health);
+    assert_eq!(report.health.slos.len(), 3);
+    assert_eq!(report.prometheus_samples.get("ppuf_slo_health").copied(), Some(0.0));
+
+    // every verdict round carried an echoed trace id, and the server-side
+    // span trees correlate end to end under those ids
+    assert_eq!(report.traced_requests, 28, "honest + impostor verdict rounds");
+    assert!(report.correlated_traces >= 1, "{:?}", report.correlated_traces);
+
+    // the live Prometheus scrape exposed the headline serving metrics
+    for metric in
+        ["ppuf_cache_hits_total", "ppuf_pool_queue_depth", "ppuf_dc_warm_start_hits_total"]
+    {
+        assert!(report.prometheus_samples.contains_key(metric), "missing {metric}");
+    }
+    assert!(report.prometheus_samples["ppuf_cache_hits_total"] >= hits as f64);
+    // zero-filled cache/warm-start counters always appear in the report
+    for key in ["server.cache.evictions", "analog.dc.warm_start_misses"] {
+        assert!(report.server_counters.contains_key(key), "missing {key}");
+    }
+
+    // the JSON report round-trips
+    let json = report.to_json();
+    let parsed: AsyncLoadgenReport = serde_json::from_str(&json).expect("report JSON parses back");
+    assert_eq!(parsed, report);
+    assert!(json.contains("throughput_rps"));
 }

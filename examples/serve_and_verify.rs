@@ -1,6 +1,7 @@
 //! The authentication protocol as a network service: register a device,
 //! fetch a nonce-bound challenge, answer from the chip's fast path, and
-//! get a verdict back — all over a real (loopback) TCP connection.
+//! get a verdict back — all over a real (loopback) TCP connection to the
+//! epoll server, spoken from a blocking wire-1.x client.
 //!
 //! Also shows the service-side protections: a replayed nonce is refused,
 //! a revoked device disappears, and garbage on the wire gets a
@@ -31,7 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         deadline: Some(Seconds(0.5)),
         ..ServiceConfig::default()
     }));
-    let mut server = PpufServer::bind("127.0.0.1:0", Arc::clone(&service))?;
+    let mut server =
+        AsyncServer::bind("127.0.0.1:0", Arc::clone(&service), AsyncConfig::default())?;
     println!("server listening on {}", server.local_addr());
 
     let mut client = Client::connect(server.local_addr())?;
