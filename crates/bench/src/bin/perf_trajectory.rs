@@ -67,8 +67,8 @@ fn main() {
             profile.warm_overhead_ratio()
         );
     }
-    let path =
-        write_json_report("engine-smoke", &engine.to_json(), BENCH_DIR).expect("write smoke json");
+    let json = serde_json::to_string_pretty(&engine).expect("smoke report serializes");
+    let path = write_json_report("engine-smoke", &json, BENCH_DIR).expect("write smoke json");
     println!("  report -> {}", path.display());
     if std::env::args().any(|a| a == "--profile") {
         std::fs::create_dir_all(PROFILES_DIR).expect("create profiles dir");

@@ -1,12 +1,15 @@
 //! Generates a machine-readable telemetry run report: one device is
 //! exercised end-to-end — analog DC operating point, max-flow simulation,
 //! transient settling, and a small model-building attack — with every
-//! stage reporting into a single [`JsonReporter`], then the
+//! stage reporting into a single [`MemoryRecorder`], then its
 //! schema-versioned report is written under `results/telemetry/`.
 //!
 //! ```text
 //! cargo run --release --bin telemetry_report [-- --nodes N] [--out DIR]
 //! ```
+//!
+//! An unparseable `--nodes` or a flag given without its value is an
+//! error (exit status 2), never a silent fall-back to the defaults.
 
 use ppuf_analog::montecarlo::stream;
 use ppuf_analog::solver::{simulate_step_response_traced, DcOptions, TransientOptions};
@@ -18,26 +21,37 @@ use ppuf_bench::experiments::make_ppuf;
 use ppuf_bench::report::{write_telemetry_report, TELEMETRY_DIR};
 use ppuf_core::NetworkSide;
 use ppuf_maxflow::{Dinic, MaxFlowSolver};
-use ppuf_telemetry::{JsonReporter, Recorder};
+use ppuf_telemetry::{MemoryRecorder, Recorder};
 
 /// Per-edge junction capacitance for the transient stage (see the delay
 /// ablation: magnitude only scales the time axis, not the behaviour).
 const EDGE_CAPACITANCE: f64 = 1e-15;
 
+fn usage_error(message: &str) -> ! {
+    eprintln!("telemetry_report: {message}\nusage: telemetry_report [--nodes N] [--out DIR]");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, if the flag is given at all.
 fn arg_after(flag: &str) -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == flag {
-            return args.next();
+            return Some(
+                args.next().unwrap_or_else(|| usage_error(&format!("{flag} needs a value"))),
+            );
         }
     }
     None
 }
 
 fn main() {
-    let nodes: usize = arg_after("--nodes").and_then(|v| v.parse().ok()).unwrap_or(100);
+    let nodes = arg_after("--nodes").map_or(100, |text| match text.parse::<usize>() {
+        Ok(n) if n >= 2 => n,
+        _ => usage_error(&format!("--nodes expects an integer of at least 2, got {text:?}")),
+    });
     let out_dir = arg_after("--out").unwrap_or_else(|| TELEMETRY_DIR.to_string());
-    let reporter = JsonReporter::new(format!("run_n{nodes}"));
+    let reporter = MemoryRecorder::new();
 
     // --- device under test -------------------------------------------
     let grid = (nodes / 5).clamp(1, 8);
@@ -111,7 +125,7 @@ fn main() {
     );
 
     // --- write the report ----------------------------------------------
-    let report = reporter.report();
+    let report = reporter.snapshot(&format!("run_n{nodes}"));
     let path = write_telemetry_report(&report, &out_dir).expect("report written");
     println!(
         "\nschema v{} report with {} counters, {} histograms, {} spans, {} events -> {}",

@@ -7,7 +7,6 @@
 //! code, so a trajectory entry and a gate verdict always describe the
 //! same measurement.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -191,23 +190,6 @@ impl SolverShape {
             },
         }
     }
-
-    /// Single-line JSON object for the hand-rolled reports.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"backend\": {:?}, \"newton_iterations\": {}, \"jacobian_factorizations\": {}, \
-             \"jacobian_nnz\": {}, \"lu_nnz\": {}, \"fill_ratio\": {:?}, \
-             \"symbolic_reuse_hits\": {}, \"full_factorizations\": {}}}",
-            self.backend,
-            self.newton_iterations,
-            self.jacobian_factorizations,
-            self.jacobian_nnz,
-            self.lu_nnz,
-            self.fill_ratio,
-            self.symbolic_reuse_hits,
-            self.full_factorizations,
-        )
-    }
 }
 
 /// The smoke profile's sparse-workload measurement: one grid device
@@ -227,23 +209,6 @@ pub struct GridSmoke {
     pub source_current_amps: f64,
     /// Linear-solver shape of the chain (sparse for any healthy run).
     pub solver: SolverShape,
-}
-
-impl GridSmoke {
-    /// JSON object used inside the smoke report.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n    \"side\": {},\n    \"nodes\": {},\n    \"cold_seconds\": {:?},\n    \
-             \"warm_mean_seconds\": {:?},\n    \"source_current_amps\": {:?},\n    \
-             \"solver\": {}\n  }}",
-            self.side,
-            self.nodes,
-            self.cold_seconds,
-            self.warm_mean_seconds,
-            self.source_current_amps,
-            self.solver.to_json()
-        )
-    }
 }
 
 /// What the always-on hierarchical profiler measured during the smoke:
@@ -269,18 +234,6 @@ impl ProfileSummary {
     pub fn warm_overhead_ratio(&self) -> f64 {
         self.warm_profiled_mean_seconds / self.warm_unprofiled_mean_seconds
     }
-
-    /// JSON object used inside the smoke report.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"device_eval_self_share\": {:?}, \"paths\": {}, \
-             \"warm_profiled_mean_seconds\": {:?}, \"warm_unprofiled_mean_seconds\": {:?}}}",
-            self.device_eval_self_share,
-            self.paths,
-            self.warm_profiled_mean_seconds,
-            self.warm_unprofiled_mean_seconds,
-        )
-    }
 }
 
 /// The smoke profile's measurement: one crossbar cold solve (the gated
@@ -302,30 +255,6 @@ pub struct EngineSmoke {
     /// The hierarchical profiler's measurement of the run; `None` in
     /// pre-profiler baselines.
     pub profile: Option<ProfileSummary>,
-}
-
-impl EngineSmoke {
-    /// The flat JSON shape `engine-smoke.json` (and the committed
-    /// baseline) use. The gated `cold_seconds` stays the first of its
-    /// name in the text, so the baseline reader keeps working.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"schema\": 1,\n  \"mode\": \"smoke\",\n  \"nodes\": {},\n  \
-             \"cold_seconds\": {:?},\n  \"source_current_amps\": {:?}",
-            self.nodes, self.cold_seconds, self.source_current_amps
-        );
-        if let Some(solver) = &self.solver {
-            let _ = write!(out, ",\n  \"solver\": {}", solver.to_json());
-        }
-        if let Some(grid) = &self.sparse_grid {
-            let _ = write!(out, ",\n  \"sparse_grid\": {}", grid.to_json());
-        }
-        if let Some(profile) = &self.profile {
-            let _ = write!(out, ",\n  \"profile\": {}", profile.to_json());
-        }
-        out.push_str("\n}\n");
-        out
-    }
 }
 
 /// Solves the n = 200 cold operating point through the batch engine —
@@ -434,16 +363,22 @@ pub fn run_engine_smoke_profiled() -> (EngineSmoke, Arc<Profiler>) {
     (smoke, profiler)
 }
 
-/// Extracts the first `"key": <number>` value from a JSON text. Enough
-/// for the flat smoke schema without pulling a parser into the binary.
-pub fn extract_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Reads a committed baseline: `Ok(None)` when there is none yet (the
+/// gate is unarmed), `Err` when the file exists but cannot be read or
+/// parsed — a truncated baseline must not switch a gate off.
+pub(crate) fn read_baseline<T: for<'de> Deserialize<'de>>(path: &str) -> Result<Option<T>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("baseline {path} unreadable: {e}")),
+    };
+    serde_json::from_str(&text).map(Some).map_err(|e| format!("baseline {path}: {e}"))
+}
+
+/// A gated baseline number must be finite: the compat derive reads an
+/// absent float field as `NaN`, and every comparison with `NaN` passes.
+pub(crate) fn gated_value(value: f64, key: &str, path: &str) -> Result<f64, String> {
+    value.is_finite().then_some(value).ok_or_else(|| format!("baseline {path} has no finite {key}"))
 }
 
 /// Gates `smoke` against the committed baseline at `baseline_path`:
@@ -455,16 +390,16 @@ pub fn extract_number(text: &str, key: &str) -> Option<f64> {
 /// # Errors
 ///
 /// Returns the regression description when the cold solve exceeds the
-/// allowed factor over the baseline.
+/// allowed factor over the baseline, or the failure when the baseline
+/// file exists but does not parse.
 pub fn check_smoke_baseline(
     smoke: &EngineSmoke,
     baseline_path: &str,
 ) -> Result<Option<f64>, String> {
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
+    let Some(baseline) = read_baseline::<EngineSmoke>(baseline_path)? else {
         return Ok(None);
     };
-    let baseline = extract_number(&text, "cold_seconds")
-        .ok_or_else(|| format!("baseline {baseline_path} has no cold_seconds field"))?;
+    let baseline = gated_value(baseline.cold_seconds, "cold_seconds", baseline_path)?;
     let limit = baseline * SMOKE_REGRESSION_FACTOR;
     if smoke.cold_seconds > limit {
         return Err(format!(
@@ -483,7 +418,8 @@ pub fn check_smoke_baseline(
 /// # Errors
 ///
 /// Returns the drift description when the share moved more than the
-/// tolerance — the solve's composition changed.
+/// tolerance — the solve's composition changed — or the failure when the
+/// baseline file exists but does not parse.
 pub fn check_eval_share_baseline(
     smoke: &EngineSmoke,
     baseline_path: &str,
@@ -491,12 +427,11 @@ pub fn check_eval_share_baseline(
     let Some(profile) = &smoke.profile else {
         return Ok(None);
     };
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
+    let Some(EngineSmoke { profile: Some(baseline), .. }) = read_baseline(baseline_path)? else {
         return Ok(None);
     };
-    let Some(baseline) = extract_number(&text, "device_eval_self_share") else {
-        return Ok(None);
-    };
+    let baseline =
+        gated_value(baseline.device_eval_self_share, "device_eval_self_share", baseline_path)?;
     let measured = profile.device_eval_self_share;
     let drift = (measured - baseline).abs();
     if drift > EVAL_SHARE_TOLERANCE {
@@ -512,44 +447,72 @@ pub fn check_eval_share_baseline(
 mod tests {
     use super::*;
 
-    #[test]
-    fn extract_number_reads_flat_json() {
-        let text = "{\n  \"schema\": 1,\n  \"cold_seconds\": 10.17,\n  \"x\": -2e-3\n}";
-        assert_eq!(extract_number(text, "cold_seconds"), Some(10.17));
-        assert_eq!(extract_number(text, "x"), Some(-2e-3));
-        assert_eq!(extract_number(text, "missing"), None);
+    fn to_json(smoke: &EngineSmoke) -> String {
+        serde_json::to_string_pretty(smoke).unwrap()
+    }
+
+    fn temp_baseline(tag: &str) -> (std::path::PathBuf, String) {
+        let dir = std::env::temp_dir().join(format!("ppuf-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.json").to_string_lossy().into_owned();
+        (dir, path)
+    }
+
+    fn smoke(cold_seconds: f64, share: Option<f64>) -> EngineSmoke {
+        EngineSmoke {
+            nodes: 200,
+            cold_seconds,
+            source_current_amps: 1e-3,
+            solver: None,
+            sparse_grid: None,
+            profile: share.map(|share| ProfileSummary {
+                device_eval_self_share: share,
+                paths: 12,
+                warm_profiled_mean_seconds: 0.0034,
+                warm_unprofiled_mean_seconds: 0.0033,
+            }),
+        }
     }
 
     #[test]
     fn baseline_gate_passes_within_factor_and_fails_beyond() {
-        let dir = std::env::temp_dir().join(format!("ppuf-baseline-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        let baseline = EngineSmoke {
-            nodes: 200,
-            cold_seconds: 10.0,
-            source_current_amps: 1e-3,
-            solver: None,
-            sparse_grid: None,
-            profile: None,
-        };
-        std::fs::write(&path, baseline.to_json()).unwrap();
-        let path = path.to_string_lossy().into_owned();
+        let (dir, path) = temp_baseline("baseline");
+        std::fs::write(&path, to_json(&smoke(10.0, None))).unwrap();
 
-        let fast = EngineSmoke { cold_seconds: 12.0, ..baseline.clone() };
-        assert_eq!(check_smoke_baseline(&fast, &path), Ok(Some(10.0)));
-        let slow = EngineSmoke { cold_seconds: 25.0, ..baseline };
-        assert!(check_smoke_baseline(&slow, &path).is_err());
-        assert_eq!(check_smoke_baseline(&fast, "/no/such/baseline.json"), Ok(None));
+        assert_eq!(check_smoke_baseline(&smoke(12.0, None), &path), Ok(Some(10.0)));
+        assert!(check_smoke_baseline(&smoke(25.0, None), &path).is_err());
+        assert_eq!(check_smoke_baseline(&smoke(12.0, None), "/no/such/baseline.json"), Ok(None));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn smoke_gate_fails_closed_on_an_unparseable_baseline() {
+        let (dir, path) = temp_baseline("smoke-truncated");
+        let text = to_json(&smoke(10.0, None));
+        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+        assert!(check_smoke_baseline(&smoke(1.0, None), &path).is_err());
+        // parses, but the gated number is absent
+        std::fs::write(&path, "{\"nodes\": 200}").unwrap();
+        assert!(check_smoke_baseline(&smoke(1.0, None), &path).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn committed_smoke_reports_parse_and_the_baseline_arms_both_gates() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bench/");
+        let current: EngineSmoke =
+            read_baseline(&format!("{dir}engine-smoke.json")).unwrap().unwrap();
+        assert!(current.solver.is_some() && current.sparse_grid.is_some());
+        let path = format!("{dir}engine-smoke-baseline.json");
+        let baseline: EngineSmoke = read_baseline(&path).unwrap().expect("committed baseline");
+        let share = baseline.profile.as_ref().expect("profiled baseline").device_eval_self_share;
+        assert_eq!(check_smoke_baseline(&baseline, &path), Ok(Some(baseline.cold_seconds)));
+        assert_eq!(check_eval_share_baseline(&baseline, &path), Ok(Some(share)));
     }
 
     #[test]
     fn smoke_json_round_trips() {
         let smoke = EngineSmoke {
-            nodes: 200,
-            cold_seconds: 9.5,
-            source_current_amps: 2.5e-4,
             solver: Some(SolverShape {
                 backend: "sparse".to_string(),
                 newton_iterations: 23,
@@ -560,49 +523,36 @@ mod tests {
                 symbolic_reuse_hits: 22,
                 full_factorizations: 1,
             }),
-            sparse_grid: None,
-            profile: Some(ProfileSummary {
-                device_eval_self_share: 0.91,
-                paths: 12,
-                warm_profiled_mean_seconds: 0.0034,
-                warm_unprofiled_mean_seconds: 0.0033,
-            }),
+            ..smoke(9.5, Some(0.91))
         };
-        let text = smoke.to_json();
-        assert_eq!(extract_number(&text, "cold_seconds"), Some(9.5));
-        assert_eq!(extract_number(&text, "device_eval_self_share"), Some(0.91));
-        let back: EngineSmoke = serde_json::from_str(&text).expect("smoke JSON parses");
+        let back: EngineSmoke = serde_json::from_str(&to_json(&smoke)).expect("smoke JSON parses");
         assert_eq!(back, smoke);
     }
 
     #[test]
     fn eval_share_gate_arms_only_on_profiled_baselines() {
-        let dir = std::env::temp_dir().join(format!("ppuf-share-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        let profiled = |share: f64| EngineSmoke {
-            nodes: 200,
-            cold_seconds: 10.0,
-            source_current_amps: 1e-3,
-            solver: None,
-            sparse_grid: None,
-            profile: Some(ProfileSummary {
-                device_eval_self_share: share,
-                paths: 12,
-                warm_profiled_mean_seconds: 0.0034,
-                warm_unprofiled_mean_seconds: 0.0033,
-            }),
-        };
-        std::fs::write(&path, profiled(0.90).to_json()).unwrap();
-        let path = path.to_string_lossy().into_owned();
+        let (dir, path) = temp_baseline("share");
+        std::fs::write(&path, to_json(&smoke(10.0, Some(0.90)))).unwrap();
 
-        assert_eq!(check_eval_share_baseline(&profiled(0.85), &path), Ok(Some(0.90)));
-        assert!(check_eval_share_baseline(&profiled(0.55), &path).is_err());
+        assert_eq!(check_eval_share_baseline(&smoke(10.0, Some(0.85)), &path), Ok(Some(0.90)));
+        assert!(check_eval_share_baseline(&smoke(10.0, Some(0.55)), &path).is_err());
         // unarmed: no profile on the measurement, or a pre-profiler baseline
-        let unprofiled = EngineSmoke { profile: None, ..profiled(0.0) };
-        assert_eq!(check_eval_share_baseline(&unprofiled, &path), Ok(None));
-        std::fs::write(&path, unprofiled.to_json()).unwrap();
-        assert_eq!(check_eval_share_baseline(&profiled(0.55), &path), Ok(None));
+        assert_eq!(check_eval_share_baseline(&smoke(10.0, None), &path), Ok(None));
+        std::fs::write(&path, to_json(&smoke(10.0, None))).unwrap();
+        assert_eq!(check_eval_share_baseline(&smoke(10.0, Some(0.55)), &path), Ok(None));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eval_share_gate_fails_closed_on_an_unparseable_baseline() {
+        let (dir, path) = temp_baseline("share-truncated");
+        let text = to_json(&smoke(10.0, Some(0.90)));
+        std::fs::write(&path, &text[..text.len() - 3]).unwrap();
+        assert!(check_eval_share_baseline(&smoke(10.0, Some(0.90)), &path).is_err());
+        assert_eq!(
+            check_eval_share_baseline(&smoke(10.0, Some(0.90)), "/no/such/baseline.json"),
+            Ok(None)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,7 +16,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::engine_profile::EngineSmoke;
+use crate::engine_profile::{gated_value, read_baseline, EngineSmoke};
 
 /// Default trajectory file, relative to the repo root.
 pub const TRAJECTORY_PATH: &str = "BENCH_trajectory.json";
@@ -202,6 +202,13 @@ impl Trajectory {
 /// CI hosts, tight enough to catch a real event-loop regression.
 pub const ASYNC_REGRESSION_FACTOR: f64 = 3.0;
 
+/// The gated fields of `results/service/async-smoke-baseline.json`.
+#[derive(Deserialize)]
+struct AsyncBaseline {
+    throughput_rps: f64,
+    request_p99_ms: f64,
+}
+
 /// Gates an async concurrency sample against the committed baseline at
 /// `baseline_path` (`results/service/async-smoke-baseline.json`).
 /// Returns `Ok(None)` when no baseline exists yet (first run), else the
@@ -211,18 +218,17 @@ pub const ASYNC_REGRESSION_FACTOR: f64 = 3.0;
 ///
 /// Returns the regression description when throughput fell below
 /// baseline/[`ASYNC_REGRESSION_FACTOR`] or the per-request p99 exceeds
-/// [`ASYNC_REGRESSION_FACTOR`]× baseline.
+/// [`ASYNC_REGRESSION_FACTOR`]× baseline, or the failure when the
+/// baseline file exists but does not parse.
 pub fn check_async_baseline(
     sample: &AsyncServiceSample,
     baseline_path: &str,
 ) -> Result<Option<f64>, String> {
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
+    let Some(baseline) = read_baseline::<AsyncBaseline>(baseline_path)? else {
         return Ok(None);
     };
-    let base_rps = crate::engine_profile::extract_number(&text, "throughput_rps")
-        .ok_or_else(|| format!("baseline {baseline_path} has no throughput_rps field"))?;
-    let base_p99 = crate::engine_profile::extract_number(&text, "request_p99_ms")
-        .ok_or_else(|| format!("baseline {baseline_path} has no request_p99_ms field"))?;
+    let base_rps = gated_value(baseline.throughput_rps, "throughput_rps", baseline_path)?;
+    let base_p99 = gated_value(baseline.request_p99_ms, "request_p99_ms", baseline_path)?;
     if sample.throughput_rps < base_rps / ASYNC_REGRESSION_FACTOR {
         return Err(format!(
             "async throughput {:.1} rounds/s fell below baseline {base_rps:.1} / {ASYNC_REGRESSION_FACTOR}",
@@ -383,6 +389,26 @@ mod tests {
         assert!(check_async_baseline(&laggy, &path).is_err());
         assert_eq!(check_async_baseline(&sample, "/no/such/baseline.json"), Ok(None));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn async_baseline_gate_fails_closed_on_an_unparseable_baseline() {
+        let path = temp_path("async-truncated").to_string_lossy().into_owned();
+        let sample = entry("a", 10.0, 50.0).async_service.unwrap();
+        std::fs::write(&path, "{\"throughput_rps\": 300.0, \"request_p9").unwrap();
+        assert!(check_async_baseline(&sample, &path).is_err());
+        // parses, but a gated number is absent
+        std::fs::write(&path, "{\"throughput_rps\": 300.0}").unwrap();
+        assert!(check_async_baseline(&sample, &path).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn committed_async_baseline_arms_its_gate() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/service/");
+        let sample = entry("a", 10.0, 148.45).async_service.unwrap();
+        let gate = check_async_baseline(&sample, &format!("{path}async-smoke-baseline.json"));
+        assert_eq!(gate, Ok(Some(296.9)));
     }
 
     #[test]

@@ -10,13 +10,21 @@
 //! - serialization goes through the owned [`Value`] tree, not a visitor;
 //! - maps with non-string keys serialize as sequences of `[key, value]`
 //!   pairs instead of erroring;
-//! - no rename/skip/default attributes (the workspace uses none).
+//! - no rename/skip/default attributes: a derived struct reads an absent
+//!   field as [`Value::Null`] (so `Option` fields default to `None`), and
+//!   types that need a real default or a skipped field implement the
+//!   traits by hand over [`Value`];
+//! - the JSON text codec lives here, in [`json`], rather than in a
+//!   separate crate; the `serde_json` stand-in re-exports it, so crates
+//!   that must not add a dependency edge can still render and parse JSON.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
 
 pub use serde_derive::{Deserialize, Serialize};
+
+pub mod json;
 
 /// The self-describing data model produced by [`Serialize`] and consumed
 /// by [`Deserialize`].

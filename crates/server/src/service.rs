@@ -14,6 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crossbeam::channel::bounded;
+use serde::{Serialize, Value};
 
 use ppuf_analog::solver::{Circuit, DcEngine, DcOptions, EngineOptions};
 use ppuf_analog::units::{Amps, Celsius, Seconds, Volts};
@@ -377,11 +378,17 @@ impl VerificationService {
     }
 
     /// Snapshots the live call-path profile ([`Request::Profile`]): the
-    /// per-path stats as a JSON object, or the folded-stack text ready to
+    /// per-path stats as a JSON object keyed by path (the shape of a
+    /// report's `profile` section), or the folded-stack text ready to
     /// pipe into `flamegraph.pl`.
     fn profile_response(&self, format: ProfileFormat) -> Response {
         let body = match format {
-            ProfileFormat::Json => ppuf_telemetry::profile_to_json(&self.profiler.snapshot()),
+            ProfileFormat::Json => {
+                let paths = self.profiler.snapshot().into_iter();
+                let object =
+                    Value::Map(paths.map(|(path, stats)| (path, stats.to_value())).collect());
+                serde_json::to_string_pretty(&object).expect("profiles always serialize")
+            }
             ProfileFormat::Folded => self.profiler.fold(),
         };
         Response::Profile { format, body }

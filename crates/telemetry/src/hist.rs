@@ -22,6 +22,8 @@
 //! 1e-9, the covered range ends near 1.15e9, so any plausible latency in
 //! seconds — or milliseconds — lands in a real bucket.
 
+use serde::{Deserialize, Serialize};
+
 use crate::SampleSummary;
 
 /// Upper edge of bucket 0; values at or below this (seconds, typically)
@@ -213,7 +215,7 @@ impl LogHistogram {
 
 /// One non-empty histogram bucket: `count` samples at or below `le`
 /// (and above the previous snapshot bucket's `le`).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HistBucket {
     /// Inclusive upper edge of the bucket.
     pub le: f64,
@@ -223,10 +225,8 @@ pub struct HistBucket {
 
 /// Serializable sparse copy of a [`LogHistogram`]: only the non-empty
 /// buckets, in ascending `le` order, plus the exact moments.
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
-    /// Non-empty buckets, ascending by `le`, counts non-cumulative.
-    pub buckets: Vec<HistBucket>,
     /// Total samples.
     pub count: u64,
     /// Exact sum of samples.
@@ -235,6 +235,8 @@ pub struct HistogramSnapshot {
     pub min: f64,
     /// Exact largest sample (`NaN` when empty).
     pub max: f64,
+    /// Non-empty buckets, ascending by `le`, counts non-cumulative.
+    pub buckets: Vec<HistBucket>,
 }
 
 impl HistogramSnapshot {
@@ -258,84 +260,6 @@ impl HistogramSnapshot {
             }
         }
         unreachable!("snapshot buckets always sum to the total count")
-    }
-}
-
-// With the `serde` feature, snapshots embed directly in report structs
-// downstream crates derive (loadgen cohort reports, bench trajectories).
-// Impls are hand-written because the types must keep compiling without
-// the feature; the field layout matches `report.rs` hist sections.
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::{HistBucket, HistogramSnapshot};
-    use serde::{Deserialize, Error, Serialize, Value};
-
-    impl Serialize for HistBucket {
-        fn to_value(&self) -> Value {
-            Value::Map(vec![
-                ("le".to_string(), self.le.to_value()),
-                ("count".to_string(), self.count.to_value()),
-            ])
-        }
-    }
-
-    impl<'de> Deserialize<'de> for HistBucket {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |key: &str| {
-                value
-                    .get(key)
-                    .ok_or_else(|| Error::custom(format!("HistBucket missing field {key:?}")))
-            };
-            Ok(HistBucket {
-                le: f64::from_value(field("le")?)?,
-                count: u64::from_value(field("count")?)?,
-            })
-        }
-    }
-
-    impl Serialize for HistogramSnapshot {
-        fn to_value(&self) -> Value {
-            Value::Map(vec![
-                ("count".to_string(), self.count.to_value()),
-                ("sum".to_string(), self.sum.to_value()),
-                ("min".to_string(), self.min.to_value()),
-                ("max".to_string(), self.max.to_value()),
-                ("buckets".to_string(), self.buckets.to_value()),
-            ])
-        }
-    }
-
-    impl<'de> Deserialize<'de> for HistogramSnapshot {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |key: &str| {
-                value.get(key).ok_or_else(|| {
-                    Error::custom(format!("HistogramSnapshot missing field {key:?}"))
-                })
-            };
-            Ok(HistogramSnapshot {
-                buckets: Vec::from_value(field("buckets")?)?,
-                count: u64::from_value(field("count")?)?,
-                sum: f64::from_value(field("sum")?)?,
-                min: f64::from_value(field("min")?)?,
-                max: f64::from_value(field("max")?)?,
-            })
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn snapshot_round_trips_through_the_value_model() {
-            let mut h = crate::LogHistogram::new();
-            for i in 1..=50 {
-                h.record(i as f64 * 1e-3);
-            }
-            let snapshot = h.snapshot();
-            let back = HistogramSnapshot::from_value(&snapshot.to_value()).unwrap();
-            assert_eq!(back, snapshot);
-        }
     }
 }
 

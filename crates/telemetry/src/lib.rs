@@ -3,10 +3,12 @@
 //! [`Recorder`] trait whose default implementation ([`NoopRecorder`]) costs
 //! nothing.
 //!
-//! The crate is dependency-free. Instrumented code reports aggregates at
-//! *solve granularity* — a solver counts its iterations in locals and calls
-//! the recorder once per solve — so the dynamic dispatch here never sits on
-//! a hot inner loop.
+//! The crate's one dependency is the in-tree `serde` stand-in: its
+//! derives and [`serde::json`] codec render and parse reports, so there
+//! is a single JSON writer and parser in the workspace. Instrumented code
+//! reports aggregates at *solve granularity* — a solver counts its
+//! iterations in locals and calls the recorder once per solve — so the
+//! dynamic dispatch here never sits on a hot inner loop.
 //!
 //! # Quick tour
 //!
@@ -23,8 +25,9 @@
 //! assert_eq!(recorder.span_stats("demo.solve").unwrap().count, 1);
 //! ```
 //!
-//! For machine-readable output, [`JsonReporter`] wraps a [`MemoryRecorder`]
-//! and renders a schema-versioned [`report::Report`].
+//! For machine-readable output, [`MemoryRecorder::snapshot`] copies the
+//! recorder into a schema-versioned [`report::Report`], which
+//! [`Report::to_json`] renders and [`Report::from_json`] parses back.
 
 pub mod events;
 pub mod flightrec;
@@ -39,11 +42,13 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use serde::{Deserialize, Serialize};
+
 pub use events::{Event, EventLog, DEFAULT_EVENT_CAPACITY};
 pub use flightrec::{FlightRecorder, RecordedTrace, DEFAULT_FLIGHT_EVENTS, DEFAULT_FLIGHT_TRACES};
 pub use hist::{HistBucket, HistogramSnapshot, LogHistogram, HIST_BUCKET_COUNT, HIST_MIN_VALUE};
 pub use profile::{AllocScope, PathId, ProfileStats, Profiler};
-pub use report::{profile_to_json, JsonReporter, Report, ReportError, SCHEMA_VERSION};
+pub use report::{Report, ReportError, SCHEMA_VERSION};
 pub use samples::{SampleSeries, SampleSummary};
 pub use trace::{
     assemble, next_trace_id, record_interval, record_root_interval, FinishedSpan, SpanContext,
@@ -189,7 +194,7 @@ impl Drop for Span<'_> {
 ///
 /// Enough to answer "how many, how big on average, how bad in the worst
 /// case" without storing samples.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Number of recorded samples.
     pub count: u64,

@@ -1,9 +1,10 @@
 //! Schema-versioned JSON run reports.
 //!
-//! A [`Report`] is a snapshot of a [`MemoryRecorder`]
-//! that renders to and parses from JSON without external dependencies, so
-//! downstream tooling (and the `telemetry_report` binary in `ppuf-bench`)
-//! can diff runs across commits.
+//! A [`Report`] is a snapshot of a [`MemoryRecorder`](crate::MemoryRecorder)
+//! that renders to and parses from JSON through the compat `serde`
+//! crate's [`serde::json`] codec, so downstream tooling (and the
+//! `telemetry_report` binary in `ppuf-bench`) can diff runs across
+//! commits.
 //!
 //! Schema, version 2 — unknown keys are ignored on parse so the version
 //! only bumps on incompatible changes, and parsers accept every version
@@ -26,30 +27,31 @@
 //! ```
 //!
 //! The `samples` section carries percentile summaries of raw
-//! [`SampleSeries`] data, and `hists` carries sparse
+//! [`SampleSeries`](crate::SampleSeries) data, and `hists` carries sparse
 //! [`HistogramSnapshot`]s of the bounded log-bucketed histograms (bucket
 //! counts are non-cumulative; edges follow the compile-time scheme in
 //! [`crate::hist`]). `events` is the drained
 //! diagnostic ring buffer ([`crate::EventLog`]) and `traces` the retained
 //! span trees, keyed by zero-padded hex trace id with span ids as hex
-//! strings (full-range `u64` ids do not survive JSON's `f64` numbers) and
-//! per-trace timestamps rebased to the earliest span. The `profile`
+//! strings and per-trace timestamps rebased to the earliest span.
+//! Integers round-trip exactly across the full `u64` range; non-finite
+//! floats are written as `null` and read back as `NaN`. The `profile`
 //! section carries hierarchical profiler statistics keyed by
 //! `;`-separated call path ([`crate::profile`]) and is written only when
 //! non-empty. All of these sections are optional on parse: v1 reports —
 //! written before `events`/`traces` existed — and v2 reports written
 //! before `hists`/`profile` still load, which is why these are
-//! compatible additions rather than version bumps.
+//! compatible additions rather than version bumps. The six v1 fields are
+//! required.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Duration;
 
-use crate::hist::{HistBucket, HistogramSnapshot};
+use serde::{Deserialize, Error, Serialize, Value};
+
+use crate::hist::HistogramSnapshot;
 use crate::profile::ProfileStats;
-use crate::{MemoryRecorder, Recorder, SampleSeries, SampleSummary, Summary};
+use crate::{SampleSummary, Summary};
 
 /// Version written into every report; parsers accept
 /// [`MIN_SCHEMA_VERSION`]..=[`SCHEMA_VERSION`] and reject the rest.
@@ -60,7 +62,7 @@ pub const MIN_SCHEMA_VERSION: u32 = 1;
 
 /// One diagnostic event from the bounded ring buffer
 /// ([`crate::EventLog`]).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EventRecord {
     /// Position in the emission order (gaps at the front reveal drops).
     pub seq: u64,
@@ -71,7 +73,8 @@ pub struct EventRecord {
 }
 
 /// One span of a retained trace, timestamps rebased to the trace's
-/// earliest span start.
+/// earliest span start. Serialized with hex span ids and `attrs` as an
+/// ordered JSON object.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceSpanRecord {
     /// Span id, unique within the trace.
@@ -112,7 +115,7 @@ pub struct Report {
     /// Hierarchical profiler statistics keyed by `;`-separated call path
     /// (see [`crate::profile`]). Written only when non-empty and
     /// optional on parse, so reports from recorders without an attached
-    /// profiler are byte-identical to pre-profiler reports.
+    /// profiler carry no `profile` key at all.
     pub profile: BTreeMap<String, ProfileStats>,
     /// Retained diagnostic events, oldest first (empty for v1 reports).
     pub events: Vec<EventRecord>,
@@ -134,178 +137,22 @@ impl fmt::Display for ReportError {
 impl std::error::Error for ReportError {}
 
 impl Report {
-    /// Renders the report as indented JSON.
+    /// Renders the report as indented JSON, newline-terminated.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema_version\": {},", self.schema_version);
-        let _ = writeln!(out, "  \"label\": {},", json_string(&self.label));
-        write_u64_map(&mut out, "counters", &self.counters);
-        out.push_str(",\n");
-        write_summary_map(&mut out, "histograms", &self.histograms);
-        out.push_str(",\n");
-        write_summary_map(&mut out, "spans", &self.spans);
-        out.push_str(",\n  \"warnings\": [");
-        for (i, w) in self.warnings.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(w));
-        }
-        out.push_str("],\n");
-        write_sample_map(&mut out, "samples", &self.samples);
-        out.push_str(",\n");
-        write_hist_map(&mut out, "hists", &self.hists);
-        if !self.profile.is_empty() {
-            out.push_str(",\n");
-            write_profile_map(&mut out, "profile", &self.profile);
-        }
-        out.push_str(",\n  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"seq\": {}, \"name\": {}, \"values\": [",
-                e.seq,
-                json_string(&e.name)
-            );
-            for (j, v) in e.values.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_f64(*v));
-            }
-            out.push_str("]}");
-        }
-        if !self.events.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"traces\": {");
-        for (i, (trace, spans)) in self.traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}: [", json_string(trace));
-            for (j, s) in spans.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n      {{\"span\": \"{:016x}\", \"parent\": {}, \"name\": {}, \"start_s\": {}, \"duration_s\": {}, \"attrs\": {{",
-                    s.span,
-                    match s.parent {
-                        Some(p) => format!("\"{p:016x}\""),
-                        None => "null".to_string(),
-                    },
-                    json_string(&s.name),
-                    json_f64(s.start_s),
-                    json_f64(s.duration_s),
-                );
-                for (k, (key, value)) in s.attrs.iter().enumerate() {
-                    if k > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{}: {}", json_string(key), json_string(value));
-                }
-                out.push_str("}}");
-            }
-            if !spans.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push(']');
-        }
-        if !self.traces.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push('}');
-        out.push_str("\n}\n");
-        out
+        let mut text = serde::json::to_string_pretty(self).expect("reports always serialize");
+        text.push('\n');
+        text
     }
 
     /// Parses a report produced by [`Report::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns [`ReportError`] on malformed JSON, a missing field, or a
-    /// schema version other than [`SCHEMA_VERSION`].
+    /// Returns [`ReportError`] on malformed JSON, a missing required
+    /// field, or a schema version outside
+    /// [`MIN_SCHEMA_VERSION`]..=[`SCHEMA_VERSION`].
     pub fn from_json(text: &str) -> Result<Report, ReportError> {
-        let value = json::parse(text).map_err(ReportError)?;
-        let map = value.as_map().ok_or_else(|| ReportError("top level is not an object".into()))?;
-        let schema_version = get(map, "schema_version")?
-            .as_u64()
-            .ok_or_else(|| ReportError("schema_version is not an integer".into()))?
-            as u32;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema_version) {
-            return Err(ReportError(format!(
-                "unsupported schema_version {schema_version} \
-                 (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
-            )));
-        }
-        let label = get(map, "label")?
-            .as_str()
-            .ok_or_else(|| ReportError("label is not a string".into()))?
-            .to_string();
-        let counters = get(map, "counters")?
-            .as_map()
-            .ok_or_else(|| ReportError("counters is not an object".into()))?
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| ReportError(format!("counter {k:?} is not an integer")))
-            })
-            .collect::<Result<_, _>>()?;
-        let histograms = parse_summary_map(get(map, "histograms")?, "histograms")?;
-        let spans = parse_summary_map(get(map, "spans")?, "spans")?;
-        let warnings = get(map, "warnings")?
-            .as_seq()
-            .ok_or_else(|| ReportError("warnings is not an array".into()))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ReportError("warning is not a string".into()))
-            })
-            .collect::<Result<_, _>>()?;
-        // optional sections: `samples` predates its own introduction and
-        // `events`/`traces` arrived with schema v2, so v1 reports parse
-        // with the corresponding sections empty
-        let samples = match map.iter().find(|(k, _)| k == "samples") {
-            Some((_, v)) => parse_sample_map(v)?,
-            None => BTreeMap::new(),
-        };
-        let hists = match map.iter().find(|(k, _)| k == "hists") {
-            Some((_, v)) => parse_hist_map(v)?,
-            None => BTreeMap::new(),
-        };
-        let profile = match map.iter().find(|(k, _)| k == "profile") {
-            Some((_, v)) => parse_profile_map(v)?,
-            None => BTreeMap::new(),
-        };
-        let events = match map.iter().find(|(k, _)| k == "events") {
-            Some((_, v)) => parse_events(v)?,
-            None => Vec::new(),
-        };
-        let traces = match map.iter().find(|(k, _)| k == "traces") {
-            Some((_, v)) => parse_traces(v)?,
-            None => BTreeMap::new(),
-        };
-        Ok(Report {
-            schema_version,
-            label,
-            counters,
-            histograms,
-            spans,
-            warnings,
-            samples,
-            hists,
-            profile,
-            events,
-            traces,
-        })
+        serde::json::from_str(text).map_err(|e| ReportError(e.to_string()))
     }
 
     /// Signed per-counter difference `self - baseline`, for diffing two
@@ -328,706 +175,138 @@ impl Report {
     }
 }
 
-fn get<'a>(map: &'a [(String, json::Value)], key: &str) -> Result<&'a json::Value, ReportError> {
-    map.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| ReportError(format!("missing field {key:?}")))
+/// A name-keyed section as a JSON object (the compat data model writes a
+/// `BTreeMap` as a list of `[key, value]` pairs).
+fn object<T: Serialize>(map: &BTreeMap<String, T>) -> Value {
+    Value::Map(map.iter().map(|(name, item)| (name.clone(), item.to_value())).collect())
 }
 
-fn parse_summary_map(
-    value: &json::Value,
-    what: &str,
-) -> Result<BTreeMap<String, Summary>, ReportError> {
-    let entries = value.as_map().ok_or_else(|| ReportError(format!("{what} is not an object")))?;
-    entries
-        .iter()
-        .map(|(name, v)| {
-            let fields = v
-                .as_map()
-                .ok_or_else(|| ReportError(format!("{what} entry {name:?} is not an object")))?;
-            let number = |key: &str| {
-                get(fields, key)?
-                    .as_f64()
-                    .ok_or_else(|| ReportError(format!("{what}.{name}.{key} is not a number")))
-            };
-            let count = get(fields, "count")?
-                .as_u64()
-                .ok_or_else(|| ReportError(format!("{what}.{name}.count is not an integer")))?;
-            Ok((
-                name.clone(),
-                Summary { count, sum: number("sum")?, min: number("min")?, max: number("max")? },
-            ))
+/// Reads a name-keyed section written by [`object`].
+fn from_object<'de, T: Deserialize<'de>>(
+    value: &Value,
+    section: &str,
+) -> Result<BTreeMap<String, T>, Error> {
+    let entries =
+        value.as_map().ok_or_else(|| Error::custom(format!("{section} is not an object")))?;
+    entries.iter().map(|(name, item)| Ok((name.clone(), T::from_value(item)?))).collect()
+}
+
+/// A section added after v1: a compatible addition, so absent means empty.
+fn optional_section<'de, T: Deserialize<'de>>(
+    value: &Value,
+    section: &str,
+) -> Result<BTreeMap<String, T>, Error> {
+    value.get(section).map_or_else(|| Ok(BTreeMap::new()), |v| from_object(v, section))
+}
+
+fn field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, Error> {
+    value.get(key).ok_or_else(|| Error::custom(format!("missing field {key:?}")))
+}
+
+impl Serialize for Report {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("schema_version", self.schema_version.to_value()),
+            ("label", self.label.to_value()),
+            ("counters", object(&self.counters)),
+            ("histograms", object(&self.histograms)),
+            ("spans", object(&self.spans)),
+            ("warnings", self.warnings.to_value()),
+            ("samples", object(&self.samples)),
+            ("hists", object(&self.hists)),
+        ];
+        if !self.profile.is_empty() {
+            fields.push(("profile", object(&self.profile)));
+        }
+        fields.push(("events", self.events.to_value()));
+        fields.push(("traces", object(&self.traces)));
+        Value::Map(fields.into_iter().map(|(key, value)| (key.to_string(), value)).collect())
+    }
+}
+
+impl<'de> Deserialize<'de> for Report {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        if value.as_map().is_none() {
+            return Err(Error::custom("top level is not an object"));
+        }
+        let schema_version = u32::from_value(field(value, "schema_version")?)?;
+        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema_version) {
+            return Err(Error::custom(format!(
+                "unsupported schema_version {schema_version} \
+                 (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+            )));
+        }
+        Ok(Report {
+            schema_version,
+            label: String::from_value(field(value, "label")?)?,
+            counters: from_object(field(value, "counters")?, "counters")?,
+            histograms: from_object(field(value, "histograms")?, "histograms")?,
+            spans: from_object(field(value, "spans")?, "spans")?,
+            warnings: Vec::from_value(field(value, "warnings")?)?,
+            samples: optional_section(value, "samples")?,
+            hists: optional_section(value, "hists")?,
+            profile: optional_section(value, "profile")?,
+            events: value.get("events").map(Vec::from_value).transpose()?.unwrap_or_default(),
+            traces: optional_section(value, "traces")?,
         })
-        .collect()
+    }
 }
 
-fn parse_sample_map(value: &json::Value) -> Result<BTreeMap<String, SampleSummary>, ReportError> {
-    let entries = value.as_map().ok_or_else(|| ReportError("samples is not an object".into()))?;
-    entries
-        .iter()
-        .map(|(name, v)| {
-            let fields = v
-                .as_map()
-                .ok_or_else(|| ReportError(format!("samples entry {name:?} is not an object")))?;
-            let number = |key: &str| {
-                get(fields, key)?
-                    .as_f64()
-                    .ok_or_else(|| ReportError(format!("samples.{name}.{key} is not a number")))
-            };
-            let count = get(fields, "count")?
-                .as_u64()
-                .ok_or_else(|| ReportError(format!("samples.{name}.count is not an integer")))?
-                as usize;
-            Ok((
-                name.clone(),
-                SampleSummary {
-                    count,
-                    min: number("min")?,
-                    max: number("max")?,
-                    mean: number("mean")?,
-                    p50: number("p50")?,
-                    p95: number("p95")?,
-                    p99: number("p99")?,
-                },
-            ))
+fn hex_id(id: u64) -> Value {
+    Value::Str(format!("{id:016x}"))
+}
+
+fn parse_hex_id(value: &Value) -> Result<u64, Error> {
+    let text = String::from_value(value)?;
+    u64::from_str_radix(&text, 16).map_err(|_| Error::custom(format!("{text:?} is not a hex id")))
+}
+
+impl Serialize for TraceSpanRecord {
+    fn to_value(&self) -> Value {
+        let attrs = self.attrs.iter().map(|(key, value)| (key.clone(), value.to_value()));
+        Value::Map(vec![
+            ("span".to_string(), hex_id(self.span)),
+            ("parent".to_string(), self.parent.map_or(Value::Null, hex_id)),
+            ("name".to_string(), self.name.to_value()),
+            ("start_s".to_string(), self.start_s.to_value()),
+            ("duration_s".to_string(), self.duration_s.to_value()),
+            ("attrs".to_string(), Value::Map(attrs.collect())),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for TraceSpanRecord {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let parent = match field(value, "parent")? {
+            Value::Null => None,
+            id => Some(parse_hex_id(id)?),
+        };
+        let attrs = field(value, "attrs")?
+            .as_map()
+            .ok_or_else(|| Error::custom("trace span attrs is not an object"))?
+            .iter()
+            .map(|(key, item)| Ok((key.clone(), String::from_value(item)?)))
+            .collect::<Result<_, Error>>()?;
+        Ok(TraceSpanRecord {
+            span: parse_hex_id(field(value, "span")?)?,
+            parent,
+            name: String::from_value(field(value, "name")?)?,
+            start_s: f64::from_value(field(value, "start_s")?)?,
+            duration_s: f64::from_value(field(value, "duration_s")?)?,
+            attrs,
         })
-        .collect()
-}
-
-fn parse_hist_map(value: &json::Value) -> Result<BTreeMap<String, HistogramSnapshot>, ReportError> {
-    let entries = value.as_map().ok_or_else(|| ReportError("hists is not an object".into()))?;
-    entries
-        .iter()
-        .map(|(name, v)| {
-            let fields = v
-                .as_map()
-                .ok_or_else(|| ReportError(format!("hists entry {name:?} is not an object")))?;
-            let number = |key: &str| {
-                get(fields, key)?
-                    .as_f64()
-                    .ok_or_else(|| ReportError(format!("hists.{name}.{key} is not a number")))
-            };
-            let count = get(fields, "count")?
-                .as_u64()
-                .ok_or_else(|| ReportError(format!("hists.{name}.count is not an integer")))?;
-            let buckets = get(fields, "buckets")?
-                .as_seq()
-                .ok_or_else(|| ReportError(format!("hists.{name}.buckets is not an array")))?
-                .iter()
-                .map(|b| {
-                    let bucket = b
-                        .as_map()
-                        .ok_or_else(|| ReportError("hist bucket is not an object".into()))?;
-                    let le = get(bucket, "le")?
-                        .as_f64()
-                        .ok_or_else(|| ReportError("hist bucket le is not a number".into()))?;
-                    let count = get(bucket, "count")?
-                        .as_u64()
-                        .ok_or_else(|| ReportError("hist bucket count is not an integer".into()))?;
-                    Ok(HistBucket { le, count })
-                })
-                .collect::<Result<_, _>>()?;
-            Ok((
-                name.clone(),
-                HistogramSnapshot {
-                    buckets,
-                    count,
-                    sum: number("sum")?,
-                    min: number("min")?,
-                    max: number("max")?,
-                },
-            ))
-        })
-        .collect()
-}
-
-fn parse_events(value: &json::Value) -> Result<Vec<EventRecord>, ReportError> {
-    let items = value.as_seq().ok_or_else(|| ReportError("events is not an array".into()))?;
-    items
-        .iter()
-        .map(|item| {
-            let fields =
-                item.as_map().ok_or_else(|| ReportError("event is not an object".into()))?;
-            let seq = get(fields, "seq")?
-                .as_u64()
-                .ok_or_else(|| ReportError("event.seq is not an integer".into()))?;
-            let name = get(fields, "name")?
-                .as_str()
-                .ok_or_else(|| ReportError("event.name is not a string".into()))?
-                .to_string();
-            let values = get(fields, "values")?
-                .as_seq()
-                .ok_or_else(|| ReportError("event.values is not an array".into()))?
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| ReportError("event value is not a number".into()))
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(EventRecord { seq, name, values })
-        })
-        .collect()
-}
-
-fn parse_hex_id(value: &json::Value, what: &str) -> Result<u64, ReportError> {
-    let text = value.as_str().ok_or_else(|| ReportError(format!("{what} is not a hex string")))?;
-    u64::from_str_radix(text, 16).map_err(|_| ReportError(format!("{what} is not a hex id")))
-}
-
-fn parse_traces(
-    value: &json::Value,
-) -> Result<BTreeMap<String, Vec<TraceSpanRecord>>, ReportError> {
-    let entries = value.as_map().ok_or_else(|| ReportError("traces is not an object".into()))?;
-    entries
-        .iter()
-        .map(|(trace, spans)| {
-            let spans = spans
-                .as_seq()
-                .ok_or_else(|| ReportError(format!("trace {trace:?} is not an array")))?
-                .iter()
-                .map(|item| {
-                    let fields = item
-                        .as_map()
-                        .ok_or_else(|| ReportError("trace span is not an object".into()))?;
-                    let number = |key: &str| {
-                        get(fields, key)?
-                            .as_f64()
-                            .ok_or_else(|| ReportError(format!("trace span {key} is not a number")))
-                    };
-                    let parent = match get(fields, "parent")? {
-                        json::Value::Null => None,
-                        other => Some(parse_hex_id(other, "trace span parent")?),
-                    };
-                    Ok(TraceSpanRecord {
-                        span: parse_hex_id(get(fields, "span")?, "trace span id")?,
-                        parent,
-                        name: get(fields, "name")?
-                            .as_str()
-                            .ok_or_else(|| ReportError("trace span name is not a string".into()))?
-                            .to_string(),
-                        start_s: number("start_s")?,
-                        duration_s: number("duration_s")?,
-                        attrs: get(fields, "attrs")?
-                            .as_map()
-                            .ok_or_else(|| ReportError("trace span attrs is not an object".into()))?
-                            .iter()
-                            .map(|(k, v)| {
-                                v.as_str().map(|s| (k.clone(), s.to_string())).ok_or_else(|| {
-                                    ReportError("trace span attr is not a string".into())
-                                })
-                            })
-                            .collect::<Result<_, _>>()?,
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            Ok((trace.clone(), spans))
-        })
-        .collect()
-}
-
-fn write_u64_map(out: &mut String, key: &str, map: &BTreeMap<String, u64>) {
-    let _ = write!(out, "  \"{key}\": {{");
-    for (i, (name, value)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n    {}: {value}", json_string(name));
-    }
-    if !map.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push('}');
-}
-
-fn write_summary_map(out: &mut String, key: &str, map: &BTreeMap<String, Summary>) {
-    let _ = write!(out, "  \"{key}\": {{");
-    for (i, (name, s)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-            json_string(name),
-            s.count,
-            json_f64(s.sum),
-            json_f64(s.min),
-            json_f64(s.max),
-        );
-    }
-    if !map.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push('}');
-}
-
-fn write_sample_map(out: &mut String, key: &str, map: &BTreeMap<String, SampleSummary>) {
-    let _ = write!(out, "  \"{key}\": {{");
-    for (i, (name, s)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {}: {{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            json_string(name),
-            s.count,
-            json_f64(s.min),
-            json_f64(s.max),
-            json_f64(s.mean),
-            json_f64(s.p50),
-            json_f64(s.p95),
-            json_f64(s.p99),
-        );
-    }
-    if !map.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push('}');
-}
-
-fn write_profile_map(out: &mut String, key: &str, map: &BTreeMap<String, ProfileStats>) {
-    let _ = write!(out, "  \"{key}\": ");
-    write_profile_object(out, map);
-}
-
-/// Renders a profile snapshot as a standalone JSON object
-/// (`{"<path>": {"count": …, "wall_s": …, …}}`), entry-for-entry identical
-/// to the report's `profile` section — the body of a wire
-/// `Profile {format: Json}` admin response.
-pub fn profile_to_json(map: &BTreeMap<String, ProfileStats>) -> String {
-    let mut out = String::new();
-    write_profile_object(&mut out, map);
-    out
-}
-
-fn write_profile_object(out: &mut String, map: &BTreeMap<String, ProfileStats>) {
-    out.push('{');
-    for (i, (path, p)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {}: {{\"count\": {}, \"wall_s\": {}, \"self_s\": {}, \"min_s\": {}, \"max_s\": {}, \"alloc_count\": {}, \"alloc_bytes\": {}}}",
-            json_string(path),
-            p.count,
-            json_f64(p.wall_s),
-            json_f64(p.self_s),
-            json_f64(p.min_s),
-            json_f64(p.max_s),
-            p.alloc_count,
-            p.alloc_bytes,
-        );
-    }
-    if !map.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push('}');
-}
-
-fn parse_profile_map(value: &json::Value) -> Result<BTreeMap<String, ProfileStats>, ReportError> {
-    let entries = value.as_map().ok_or_else(|| ReportError("profile is not an object".into()))?;
-    entries
-        .iter()
-        .map(|(path, v)| {
-            let fields = v
-                .as_map()
-                .ok_or_else(|| ReportError(format!("profile entry {path:?} is not an object")))?;
-            let number = |key: &str| {
-                get(fields, key)?
-                    .as_f64()
-                    .ok_or_else(|| ReportError(format!("profile.{path}.{key} is not a number")))
-            };
-            let integer = |key: &str| {
-                get(fields, key)?
-                    .as_u64()
-                    .ok_or_else(|| ReportError(format!("profile.{path}.{key} is not an integer")))
-            };
-            Ok((
-                path.clone(),
-                ProfileStats {
-                    count: integer("count")?,
-                    wall_s: number("wall_s")?,
-                    self_s: number("self_s")?,
-                    min_s: number("min_s")?,
-                    max_s: number("max_s")?,
-                    alloc_count: integer("alloc_count")?,
-                    alloc_bytes: integer("alloc_bytes")?,
-                },
-            ))
-        })
-        .collect()
-}
-
-fn write_hist_map(out: &mut String, key: &str, map: &BTreeMap<String, HistogramSnapshot>) {
-    let _ = write!(out, "  \"{key}\": {{");
-    for (i, (name, h)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-            json_string(name),
-            h.count,
-            json_f64(h.sum),
-            json_f64(h.min),
-            json_f64(h.max),
-        );
-        for (j, b) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{{\"le\": {}, \"count\": {}}}", json_f64(b.le), b.count);
-        }
-        out.push_str("]}");
-    }
-    if !map.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push('}');
-}
-
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:?}") // shortest form that round-trips
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Recorder that aggregates in memory and finishes by writing a JSON
-/// [`Report`] — the producer side of `results/telemetry/*.json`.
-pub struct JsonReporter {
-    label: String,
-    recorder: MemoryRecorder,
-}
-
-impl JsonReporter {
-    /// Creates a reporter whose report will carry `label`.
-    pub fn new(label: impl Into<String>) -> Self {
-        JsonReporter { label: label.into(), recorder: MemoryRecorder::new() }
-    }
-
-    /// The aggregating recorder, e.g. to read counters back mid-run.
-    pub fn recorder(&self) -> &MemoryRecorder {
-        &self.recorder
-    }
-
-    /// Merges a raw [`SampleSeries`] into the report's `samples` section,
-    /// where its percentile summary will appear under `name`.
-    pub fn record_samples(&self, name: &str, series: &SampleSeries) {
-        self.recorder.record_samples(name, series);
-    }
-
-    /// Snapshots the current state as a [`Report`].
-    pub fn report(&self) -> Report {
-        self.recorder.snapshot(&self.label)
-    }
-
-    /// Writes the report as JSON to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.report().to_json())
-    }
-}
-
-impl Recorder for JsonReporter {
-    fn counter_add(&self, name: &str, delta: u64) {
-        self.recorder.counter_add(name, delta);
-    }
-
-    fn observe(&self, name: &str, value: f64) {
-        self.recorder.observe(name, value);
-    }
-
-    fn record_span(&self, name: &str, duration: Duration) {
-        self.recorder.record_span(name, duration);
-    }
-
-    fn warn(&self, message: &str) {
-        self.recorder.warn(message);
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.recorder.trace_enabled()
-    }
-
-    fn record_trace_span(&self, span: crate::FinishedSpan) {
-        self.recorder.record_trace_span(span);
-    }
-
-    fn events_enabled(&self) -> bool {
-        self.recorder.events_enabled()
-    }
-
-    fn record_event(&self, name: &str, values: &[f64]) {
-        self.recorder.record_event(name, values);
-    }
-
-    fn profiler(&self) -> Option<&crate::Profiler> {
-        self.recorder.profiler()
-    }
-}
-
-/// Minimal JSON reader used only by [`Report::from_json`]; kept private so
-/// the crate stays dependency-free.
-mod json {
-    pub enum Value {
-        Null,
-        Bool(#[allow(dead_code)] bool),
-        Num(f64),
-        Str(String),
-        Seq(Vec<Value>),
-        Map(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_map(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Map(entries) => Some(entries),
-                _ => None,
-            }
-        }
-
-        pub fn as_seq(&self) -> Option<&[Value]> {
-            match self {
-                Value::Seq(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                Value::Null => Some(f64::NAN), // non-finite stats serialize as null
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                    Some(*n as u64)
-                }
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn eat(&mut self, byte: u8) -> Result<(), String> {
-            if self.bytes.get(self.pos) == Some(&byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", byte as char, self.pos))
-            }
-        }
-
-        fn literal(&mut self, text: &str) -> bool {
-            if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-                self.pos += text.len();
-                true
-            } else {
-                false
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.bytes.get(self.pos) {
-                Some(b'n') if self.literal("null") => Ok(Value::Null),
-                Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
-                Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
-                Some(b'"') => self.string().map(Value::Str),
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    self.skip_ws();
-                    if self.bytes.get(self.pos) == Some(&b']') {
-                        self.pos += 1;
-                        return Ok(Value::Seq(items));
-                    }
-                    loop {
-                        self.skip_ws();
-                        items.push(self.value()?);
-                        self.skip_ws();
-                        match self.bytes.get(self.pos) {
-                            Some(b',') => self.pos += 1,
-                            Some(b']') => {
-                                self.pos += 1;
-                                return Ok(Value::Seq(items));
-                            }
-                            _ => return Err(format!("bad array at byte {}", self.pos)),
-                        }
-                    }
-                }
-                Some(b'{') => {
-                    self.pos += 1;
-                    let mut entries = Vec::new();
-                    self.skip_ws();
-                    if self.bytes.get(self.pos) == Some(&b'}') {
-                        self.pos += 1;
-                        return Ok(Value::Map(entries));
-                    }
-                    loop {
-                        self.skip_ws();
-                        let key = self.string()?;
-                        self.skip_ws();
-                        self.eat(b':')?;
-                        self.skip_ws();
-                        let value = self.value()?;
-                        entries.push((key, value));
-                        self.skip_ws();
-                        match self.bytes.get(self.pos) {
-                            Some(b',') => self.pos += 1,
-                            Some(b'}') => {
-                                self.pos += 1;
-                                return Ok(Value::Map(entries));
-                            }
-                            _ => return Err(format!("bad object at byte {}", self.pos)),
-                        }
-                    }
-                }
-                Some(_) => self.number(),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let escape = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match escape {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let digits = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = std::str::from_utf8(digits)
-                                    .ok()
-                                    .and_then(|t| u32::from_str_radix(t, 16).ok())
-                                    .and_then(char::from_u32)
-                                    .ok_or("invalid \\u escape")?;
-                                self.pos += 4;
-                                out.push(code);
-                            }
-                            other => return Err(format!("invalid escape '\\{}'", other as char)),
-                        }
-                    }
-                    Some(_) => {
-                        let start = self.pos;
-                        while let Some(&b) = self.bytes.get(self.pos) {
-                            if b == b'"' || b == b'\\' {
-                                break;
-                            }
-                            self.pos += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.bytes[start..self.pos])
-                                .map_err(|_| "invalid utf-8".to_string())?,
-                        );
-                    }
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|t| t.parse::<f64>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("invalid number at byte {start}"))
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
+    use crate::{MemoryRecorder, Recorder, SampleSeries};
 
     fn sample_report() -> Report {
-        let reporter = JsonReporter::new("unit-test run");
+        let reporter = MemoryRecorder::new();
         reporter.counter_add("dc.newton_iterations", 42);
         reporter.counter_add("maxflow.augmenting_paths", 7);
         reporter.observe("dc.final_residual", 3.25e-11);
@@ -1044,7 +323,7 @@ mod tests {
             root.attr("kind", "SubmitAnswer");
             let _child = root.child("server.verify");
         }
-        reporter.report()
+        reporter.snapshot("unit-test run")
     }
 
     #[test]
@@ -1057,16 +336,8 @@ mod tests {
 
     #[test]
     fn empty_report_round_trips() {
-        let report = JsonReporter::new("empty").report();
+        let report = MemoryRecorder::new().snapshot("empty");
         assert_eq!(Report::from_json(&report.to_json()).unwrap(), report);
-    }
-
-    #[test]
-    fn schema_version_is_enforced() {
-        let mut report = sample_report();
-        report.schema_version = 999;
-        let err = Report::from_json(&report.to_json()).unwrap_err();
-        assert!(err.to_string().contains("schema_version"), "{err}");
     }
 
     #[test]
@@ -1085,25 +356,22 @@ mod tests {
     }
 
     #[test]
-    fn reports_without_samples_section_still_parse() {
-        // a v1 report written before the samples section existed
-        let legacy = "{\"schema_version\": 1, \"label\": \"old\", \"counters\": {},\
-             \"histograms\": {}, \"spans\": {}, \"warnings\": []}";
-        let report = Report::from_json(legacy).expect("legacy report should parse");
-        assert!(report.samples.is_empty());
-        assert!(report.hists.is_empty());
-        assert!(report.events.is_empty());
-        assert!(report.traces.is_empty());
-    }
-
-    #[test]
-    fn v2_reports_without_hists_section_still_parse() {
-        // a v2 report written before the hists section existed
-        let legacy = "{\"schema_version\": 2, \"label\": \"pre-hist\", \"counters\": {},\
-             \"histograms\": {}, \"spans\": {}, \"warnings\": [], \"samples\": {},\
-             \"events\": [], \"traces\": {}}";
-        let report = Report::from_json(legacy).expect("pre-hist v2 report should parse");
-        assert!(report.hists.is_empty());
+    fn reports_without_optional_sections_still_parse() {
+        // a v1 report, and v2 reports written before hists and profile existed
+        let v1 = "\"schema_version\": 1, \"label\": \"old\"";
+        let pre_hist = "\"schema_version\": 2, \"label\": \"pre-hist\", \"samples\": {},\
+             \"events\": [], \"traces\": {}";
+        let pre_profile = "\"schema_version\": 2, \"label\": \"pre-profile\", \"samples\": {},\
+             \"hists\": {}, \"events\": [], \"traces\": {}";
+        for head in [v1, pre_hist, pre_profile] {
+            let text = format!(
+                "{{{head}, \"counters\": {{}}, \"histograms\": {{}}, \"spans\": {{}}, \"warnings\": []}}"
+            );
+            let report = Report::from_json(&text).expect("legacy report should parse");
+            assert!(report.samples.is_empty() && report.hists.is_empty());
+            assert!(report.profile.is_empty() && report.events.is_empty());
+            assert!(report.traces.is_empty());
+        }
     }
 
     #[test]
@@ -1119,7 +387,7 @@ mod tests {
 
     #[test]
     fn schema_versions_outside_the_supported_range_are_rejected() {
-        for bad in [0, SCHEMA_VERSION + 1] {
+        for bad in [0, SCHEMA_VERSION + 1, 999] {
             let text = format!(
                 "{{\"schema_version\": {bad}, \"label\": \"x\", \"counters\": {{}},\
                  \"histograms\": {{}}, \"spans\": {{}}, \"warnings\": []}}"
@@ -1176,15 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn reports_without_profile_section_still_parse() {
-        let legacy = "{\"schema_version\": 2, \"label\": \"pre-profile\", \"counters\": {},\
-             \"histograms\": {}, \"spans\": {}, \"warnings\": [], \"samples\": {},\
-             \"hists\": {}, \"events\": [], \"traces\": {}}";
-        let report = Report::from_json(legacy).expect("pre-profile v2 report should parse");
-        assert!(report.profile.is_empty());
-    }
-
-    #[test]
     fn counter_delta_reports_signed_differences() {
         let old = sample_report();
         let mut new = old.clone();
@@ -1195,18 +454,5 @@ mod tests {
         assert_eq!(delta.get("dc.newton_iterations"), Some(&8));
         assert_eq!(delta.get("maxflow.augmenting_paths"), Some(&-7));
         assert_eq!(delta.get("fresh"), Some(&3));
-    }
-
-    #[test]
-    fn write_to_creates_directories() {
-        let dir = std::env::temp_dir().join("ppuf-telemetry-test").join("nested");
-        let path = dir.join("report.json");
-        let _ = std::fs::remove_file(&path);
-        let reporter = JsonReporter::new("io-test");
-        reporter.counter_add("k", 1);
-        reporter.write_to(&path).expect("write should succeed");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(Report::from_json(&text).unwrap(), reporter.report());
-        let _ = std::fs::remove_file(&path);
     }
 }
