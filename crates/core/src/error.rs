@@ -82,7 +82,7 @@ mod tests {
         let errors: Vec<PpufError> = vec![
             PpufError::InvalidConfig { reason: "zero nodes".into() },
             PpufError::ChallengeMismatch { reason: "bit count".into() },
-            PpufError::Simulation(MaxFlowError::ZeroThreads),
+            PpufError::Simulation(MaxFlowError::InvalidEpsilon { value: 2.0 }),
             PpufError::UnresolvableResponse { difference: 1e-12, resolution: 1e-9 },
         ];
         for e in errors {
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn source_chains() {
-        let e = PpufError::from(MaxFlowError::ZeroThreads);
+        let e = PpufError::from(MaxFlowError::InvalidEpsilon { value: 2.0 });
         assert!(e.source().is_some());
         let e = PpufError::InvalidConfig { reason: "x".into() };
         assert!(e.source().is_none());

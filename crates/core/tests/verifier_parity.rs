@@ -2,10 +2,10 @@
 //!
 //! `Verifier::verify` checks feasibility and residual reachability in place
 //! over the published capacity arrays. The oracle here does it the long
-//! way — build the `FlowNetwork`, run `Flow::check_feasible`, build the
-//! `ResidualGraph` and BFS it — and every per-network verdict and every
-//! error must come out identical, on honest, scaled, nudged and hostile
-//! flows alike.
+//! way — build the `FlowNetwork`, run `Flow::check_feasible`, and extract
+//! the `MinCut` the residual BFS induces — and every per-network verdict
+//! and every error must come out identical, on honest, scaled, nudged and
+//! hostile flows alike.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -17,7 +17,7 @@ use ppuf_core::grid::GridPartition;
 use ppuf_core::protocol::auth::{NetworkVerdict, ProverAnswer, Verifier};
 use ppuf_core::public_model::{NetworkSide, PublicModel, PublishedCapacities};
 use ppuf_core::{Challenge, PpufError};
-use ppuf_maxflow::{Dinic, EdgeId, Flow, FlowNetwork, MaxFlowSolver, NodeId, ResidualGraph};
+use ppuf_maxflow::{Dinic, EdgeId, Flow, FlowNetwork, MaxFlowSolver, MinCut, NodeId};
 
 /// The reference per-network check: materialize both graphs.
 fn oracle(
@@ -29,8 +29,8 @@ fn oracle(
 ) -> Result<NetworkVerdict, PpufError> {
     let net = model.flow_network(side, challenge)?;
     let feasible = flow.check_feasible(&net, tol)?.is_feasible();
-    let residual = ResidualGraph::new(&net, flow, tol)?;
-    let maximal = !residual.is_reachable(challenge.source, challenge.sink);
+    let cut = MinCut::from_max_flow(&net, flow, tol)?;
+    let maximal = !cut.source_side.contains(&challenge.sink);
     Ok(NetworkVerdict { feasible, maximal })
 }
 

@@ -299,7 +299,7 @@ impl MaxFlowSolver for Dinic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edmonds_karp::EdmondsKarp;
+    use crate::push_relabel::PushRelabel;
 
     fn solve(net: &FlowNetwork, s: u32, t: u32) -> Flow {
         Dinic::new().max_flow(net, NodeId::new(s), NodeId::new(t)).unwrap()
@@ -341,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_edmonds_karp_on_random_complete_graphs() {
+    fn agrees_with_push_relabel_on_random_complete_graphs() {
         for n in [4usize, 6, 9] {
             let net = FlowNetwork::complete(n, |u, v| {
                 0.1 + (((u.index() * 31 + v.index() * 17) % 13) as f64) / 3.0
@@ -349,12 +349,12 @@ mod tests {
             .unwrap();
             let (s, t) = (NodeId::new(0), NodeId::new(n as u32 - 1));
             let d = Dinic::new().max_flow(&net, s, t).unwrap();
-            let ek = EdmondsKarp::new().max_flow(&net, s, t).unwrap();
+            let pr = PushRelabel::new().max_flow(&net, s, t).unwrap();
             assert!(
-                (d.value() - ek.value()).abs() < 1e-9,
-                "n={n}: dinic {} vs ek {}",
+                (d.value() - pr.value()).abs() < 1e-9,
+                "n={n}: dinic {} vs push-relabel {}",
                 d.value(),
-                ek.value()
+                pr.value()
             );
             assert!(d.check_feasible(&net, 1e-9).unwrap().is_feasible());
         }

@@ -48,8 +48,6 @@ pub enum MaxFlowError {
         /// The offending value.
         value: f64,
     },
-    /// A thread-count of zero was requested for a parallel solver.
-    ZeroThreads,
 }
 
 impl fmt::Display for MaxFlowError {
@@ -76,9 +74,6 @@ impl fmt::Display for MaxFlowError {
             MaxFlowError::InvalidEpsilon { value } => {
                 write!(f, "approximation parameter {value} must lie in (0, 1)")
             }
-            MaxFlowError::ZeroThreads => {
-                write!(f, "parallel solver requires at least one thread")
-            }
         }
     }
 }
@@ -99,7 +94,6 @@ mod tests {
             MaxFlowError::SourceIsSink { node: NodeId::new(0) },
             MaxFlowError::FlowShapeMismatch { flow_edges: 2, network_edges: 3 },
             MaxFlowError::InvalidEpsilon { value: 2.0 },
-            MaxFlowError::ZeroThreads,
         ];
         for e in errors {
             let msg = e.to_string();

@@ -85,7 +85,8 @@ impl Flow {
     /// # Errors
     ///
     /// Returns [`MaxFlowError::FlowShapeMismatch`] if the assignment does
-    /// not have one entry per network edge.
+    /// not have one entry per network edge, or [`MaxFlowError::InvalidNode`]
+    /// if a terminal is not a vertex of `net`.
     pub fn net_out_of_source(&self, net: &FlowNetwork) -> Result<f64, MaxFlowError> {
         self.check_shape(net)?;
         let out: f64 = net.out_edges(self.source).iter().map(|&e| self.edge_flow[e.index()]).sum();
@@ -104,7 +105,8 @@ impl Flow {
     /// # Errors
     ///
     /// Returns [`MaxFlowError::FlowShapeMismatch`] if the assignment does
-    /// not match the network's edge count. Constraint *violations* are
+    /// not match the network's edge count, or [`MaxFlowError::InvalidNode`]
+    /// if a terminal is not a vertex of `net`. Constraint *violations* are
     /// reported through the `Ok` payload, not as errors.
     pub fn check_feasible(
         &self,
@@ -134,14 +136,17 @@ impl Flow {
         Ok(report)
     }
 
-    fn check_shape(&self, net: &FlowNetwork) -> Result<(), MaxFlowError> {
+    /// Checks that the assignment has one entry per edge of `net` and that
+    /// both terminals are vertices of `net`.
+    pub(crate) fn check_shape(&self, net: &FlowNetwork) -> Result<(), MaxFlowError> {
         if self.edge_flow.len() != net.edge_count() {
             return Err(MaxFlowError::FlowShapeMismatch {
                 flow_edges: self.edge_flow.len(),
                 network_edges: net.edge_count(),
             });
         }
-        Ok(())
+        net.check_node(self.source)?;
+        net.check_node(self.sink)
     }
 }
 
@@ -233,6 +238,19 @@ mod tests {
             flow.check_feasible(&net, DEFAULT_TOLERANCE),
             Err(MaxFlowError::FlowShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_terminals_are_errors() {
+        let (net, s, t) = diamond();
+        let far = NodeId::new(4);
+        let invalid = MaxFlowError::InvalidNode { node: far, node_count: 4 };
+        for (source, sink) in [(far, t), (s, far)] {
+            let flow = Flow::from_edge_flows(source, sink, 0.0, vec![0.0; 4]);
+            assert_eq!(flow.check_feasible(&net, DEFAULT_TOLERANCE).unwrap_err(), invalid);
+            assert_eq!(flow.net_out_of_source(&net).unwrap_err(), invalid);
+            assert_eq!(crate::MinCut::from_max_flow(&net, &flow, 1e-9).unwrap_err(), invalid);
+        }
     }
 
     #[test]

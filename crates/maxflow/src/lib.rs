@@ -2,26 +2,24 @@
 //!
 //! This crate is the *public simulation model* of the PPUF from
 //! "Practical Public PUF Enabled by Solving Max-Flow Problem on Chip"
-//! (DAC 2016): a directed-graph max-flow library with the exact, parallel,
-//! and approximate algorithm families the paper's execution–simulation-gap
-//! (ESG) argument quantifies over, plus the cheap residual-graph
-//! verification that powers the authentication protocol.
+//! (DAC 2016): a directed-graph max-flow library with the exact and
+//! approximate algorithm families the paper's execution–simulation-gap
+//! (ESG) argument quantifies over, plus the min-cut certificate that makes
+//! a maximum flow cheap to check.
 //!
 //! # Algorithms
 //!
 //! | Solver | Family | Complexity (complete graph) |
 //! |---|---|---|
-//! | [`EdmondsKarp`] | augmenting path | `O(n⁵)` |
 //! | [`Dinic`] | blocking flow | `O(n⁴)`, fast in practice |
 //! | [`PushRelabel`] | preflow-push (FIFO, gap, global relabel) | `O(n³)` |
 //! | [`HighestLabel`] | preflow-push (highest label, gap) | `O(n² √m)` |
-//! | [`ParallelPushRelabel`] | round-synchronous parallel preflow-push | `O(n³ log n / p)` |
 //! | [`ApproxMaxFlow`] | capacity scaling, ε-approximate | value ≥ OPT/(1+ε) |
 //!
 //! # Example
 //!
 //! ```
-//! use ppuf_maxflow::{Dinic, FlowNetwork, MaxFlowSolver, MinCut, NodeId, ResidualGraph};
+//! use ppuf_maxflow::{Dinic, FlowNetwork, MaxFlowSolver, MinCut, NodeId};
 //!
 //! # fn main() -> Result<(), ppuf_maxflow::MaxFlowError> {
 //! // The PPUF topology: a complete directed graph whose capacities are
@@ -32,11 +30,8 @@
 //! // Prover: compute the max flow (expensive).
 //! let flow = Dinic::new().max_flow(&net, s, t)?;
 //!
-//! // Verifier: check optimality from the residual graph (cheap).
-//! let residual = ResidualGraph::new(&net, &flow, 1e-9)?;
-//! assert!(residual.certifies_max_flow());
-//!
-//! // Duality witness: the min cut has the same capacity.
+//! // Verifier (cheap): the vertices residual-reachable from the source
+//! // exclude the sink, and the cut they induce has the flow's capacity.
 //! let cut = MinCut::from_max_flow(&net, &flow, 1e-9)?;
 //! assert!(cut.certifies(flow.value(), 1e-6));
 //! # Ok(())
@@ -47,33 +42,24 @@
 #![warn(missing_debug_implementations)]
 
 pub mod approx;
-pub mod decompose;
-pub mod dimacs;
 pub mod dinic;
-pub mod edmonds_karp;
 mod error;
 pub mod flow;
 pub mod graph;
 pub mod highest_label;
 pub mod mincut;
-pub mod parallel;
 pub mod push_relabel;
-pub mod residual;
 mod residual_state;
 mod solver;
 
 pub use approx::ApproxMaxFlow;
-pub use decompose::{decompose_flow, FlowPath};
 pub use dinic::{CompleteGraph, Dinic};
-pub use edmonds_karp::EdmondsKarp;
 pub use error::MaxFlowError;
 pub use flow::{FeasibilityReport, Flow, DEFAULT_TOLERANCE};
 pub use graph::{Edge, EdgeId, FlowNetwork, NodeId};
 pub use highest_label::HighestLabel;
 pub use mincut::MinCut;
-pub use parallel::ParallelPushRelabel;
 pub use push_relabel::PushRelabel;
-pub use residual::{ResidualEdge, ResidualGraph};
 pub use solver::{MaxFlowSolver, SolveStats};
 
 #[cfg(test)]
@@ -83,9 +69,9 @@ mod tests {
     #[test]
     fn solver_trait_is_object_safe() {
         let solvers: Vec<Box<dyn MaxFlowSolver + Send + Sync>> = vec![
-            Box::new(EdmondsKarp::new()),
             Box::new(Dinic::new()),
             Box::new(PushRelabel::new()),
+            Box::new(HighestLabel::new()),
         ];
         let net = FlowNetwork::complete(4, |_, _| 1.0).unwrap();
         for s in &solvers {
@@ -99,7 +85,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<FlowNetwork>();
         assert_send_sync::<Flow>();
-        assert_send_sync::<ResidualGraph>();
         assert_send_sync::<MinCut>();
         assert_send_sync::<MaxFlowError>();
     }

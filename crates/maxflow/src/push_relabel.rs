@@ -4,7 +4,7 @@
 //! `O(V³)` worst case — the algorithm the paper measures through Boost as
 //! its "simulation time" reference, and the basis of the best known
 //! parallel bound (Shiloach–Vishkin style, `O(n² log n)` with `n`
-//! processors; see [`crate::parallel`]).
+//! processors).
 
 use std::collections::VecDeque;
 

@@ -1,22 +1,43 @@
 //! Integration tests for the [`SolveStats`] work counters every solver
 //! returns, including the Dinic phase-count bound on DIMACS fixtures.
 
-use ppuf_maxflow::dimacs::from_dimacs;
 use ppuf_maxflow::{
-    ApproxMaxFlow, Dinic, EdmondsKarp, FlowNetwork, HighestLabel, MaxFlowSolver, NodeId,
-    ParallelPushRelabel, PushRelabel, SolveStats,
+    ApproxMaxFlow, Dinic, FlowNetwork, HighestLabel, MaxFlowSolver, NodeId, PushRelabel, SolveStats,
 };
 use ppuf_telemetry::MemoryRecorder;
 
 fn solvers() -> Vec<Box<dyn MaxFlowSolver + Send + Sync>> {
     vec![
-        Box::new(EdmondsKarp::new()),
         Box::new(Dinic::new()),
         Box::new(PushRelabel::new()),
         Box::new(HighestLabel::new()),
-        Box::new(ParallelPushRelabel::with_threads(2).unwrap()),
         Box::new(ApproxMaxFlow::new(0.01).unwrap()),
     ]
+}
+
+/// Reads the `p max`, `n <id> s|t` and `a <from> <to> <cap>` lines of a
+/// DIMACS max-flow fixture (1-based ids) into a network and its terminals.
+fn from_dimacs(text: &str) -> (FlowNetwork, NodeId, NodeId) {
+    let id = |tok: Option<&str>| NodeId::new(tok.unwrap().parse::<u32>().unwrap() - 1);
+    let (mut net, mut s, mut t) = (None, None, None);
+    for line in text.lines() {
+        let mut tok = line.split_whitespace();
+        match tok.next() {
+            Some("p") => net = Some(FlowNetwork::new(tok.nth(1).unwrap().parse().unwrap())),
+            Some("n") => match (id(tok.next()), tok.next()) {
+                (v, Some("s")) => s = Some(v),
+                (v, Some("t")) => t = Some(v),
+                (_, kind) => panic!("terminal kind {kind:?}"),
+            },
+            Some("a") => {
+                let (from, to) = (id(tok.next()), id(tok.next()));
+                let cap = tok.next().unwrap().parse().unwrap();
+                net.as_mut().unwrap().add_edge(from, to, cap).unwrap();
+            }
+            _ => {}
+        }
+    }
+    (net.unwrap(), s.unwrap(), t.unwrap())
 }
 
 fn test_network() -> FlowNetwork {
@@ -62,12 +83,13 @@ fn max_flow_and_with_stats_agree() {
 fn augmenting_path_solvers_count_paths_and_passes() {
     let net = test_network();
     let (s, t) = (NodeId::new(0), NodeId::new(9));
-    let (_, ek) = EdmondsKarp::new().max_flow_with_stats(&net, s, t).unwrap();
-    assert!(ek.augmenting_paths >= 1);
-    // one BFS per augmentation, plus the final unsuccessful one
-    assert_eq!(ek.bfs_passes, ek.augmenting_paths + 1);
-    assert_eq!(ek.pushes, 0);
-    assert_eq!(ek.relabels, 0);
+    let (_, scaling) = ApproxMaxFlow::new(0.01).unwrap().max_flow_with_stats(&net, s, t).unwrap();
+    assert!(scaling.augmenting_paths >= 1);
+    // one BFS per augmentation, plus the unsuccessful one ending each
+    // scaling phase
+    assert!(scaling.bfs_passes > scaling.augmenting_paths, "{scaling:?}");
+    assert_eq!(scaling.pushes, 0);
+    assert_eq!(scaling.relabels, 0);
 
     let (_, d) = Dinic::new().max_flow_with_stats(&net, s, t).unwrap();
     assert!(d.bfs_passes >= 1);
@@ -134,10 +156,9 @@ fn dinic_phase_count_is_sqrt_e_ish_on_unit_capacity_dimacs_fixtures() {
         ("unit_bipartite", include_str!("fixtures/unit_bipartite.dimacs")),
         ("unit_grid", include_str!("fixtures/unit_grid.dimacs")),
     ] {
-        let inst = from_dimacs(text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let edges = inst.network.edge_count() as f64;
-        let (flow, stats) =
-            Dinic::new().max_flow_with_stats(&inst.network, inst.source, inst.sink).unwrap();
+        let (net, s, t) = from_dimacs(text);
+        let edges = net.edge_count() as f64;
+        let (flow, stats) = Dinic::new().max_flow_with_stats(&net, s, t).unwrap();
         assert!(flow.value() > 0.0, "{name}: zero flow");
         let bound = (2.0 * edges.sqrt()).ceil() as u64 + 2;
         assert!(
@@ -150,10 +171,9 @@ fn dinic_phase_count_is_sqrt_e_ish_on_unit_capacity_dimacs_fixtures() {
 
 #[test]
 fn clrs_fixture_solves_to_23_under_all_solvers() {
-    let inst = from_dimacs(include_str!("fixtures/clrs.dimacs")).unwrap();
+    let (net, s, t) = from_dimacs(include_str!("fixtures/clrs.dimacs"));
     for solver in solvers() {
-        let (flow, stats) =
-            solver.max_flow_with_stats(&inst.network, inst.source, inst.sink).unwrap();
+        let (flow, stats) = solver.max_flow_with_stats(&net, s, t).unwrap();
         assert!((flow.value() - 23.0).abs() < 1e-9, "{}: {}", solver.name(), flow.value());
         assert!(
             stats.bfs_passes + stats.pushes + stats.augmenting_paths > 0,

@@ -58,8 +58,8 @@ pub mod prelude {
         NetworkSide, PowerLawFit, Ppuf, PpufConfig, PpufError, PublicModel, ResponseVector,
     };
     pub use ppuf_maxflow::{
-        ApproxMaxFlow, Dinic, EdmondsKarp, Flow, FlowNetwork, MaxFlowSolver, MinCut, NodeId,
-        ParallelPushRelabel, PushRelabel, ResidualGraph,
+        ApproxMaxFlow, Dinic, Flow, FlowNetwork, HighestLabel, MaxFlowSolver, MinCut, NodeId,
+        PushRelabel,
     };
     pub use ppuf_server::{AsyncConfig, AsyncServer, ServiceConfig, VerificationService};
 }

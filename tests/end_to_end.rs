@@ -61,14 +61,9 @@ fn all_solvers_agree_on_ppuf_instances() {
     let net = executor.flow_network(NetworkSide::A, &challenge).expect("valid challenge");
     let (s, t) = (challenge.source, challenge.sink);
     let dinic = Dinic::new().max_flow(&net, s, t).expect("solves").value();
-    let ek = EdmondsKarp::new().max_flow(&net, s, t).expect("solves").value();
     let pr = PushRelabel::new().max_flow(&net, s, t).expect("solves").value();
-    let par = ParallelPushRelabel::with_threads(2)
-        .expect("threads ok")
-        .max_flow(&net, s, t)
-        .expect("solves")
-        .value();
-    for (name, v) in [("edmonds-karp", ek), ("push-relabel", pr), ("parallel", par)] {
+    let hl = HighestLabel::new().max_flow(&net, s, t).expect("solves").value();
+    for (name, v) in [("push-relabel", pr), ("highest-label", hl)] {
         assert!((v - dinic).abs() < 1e-12, "{name}: {v} vs dinic {dinic}");
     }
 }

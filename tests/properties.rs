@@ -28,8 +28,6 @@ proptest! {
         for (side, flow) in [(NetworkSide::A, &detailed.flow_a), (NetworkSide::B, &detailed.flow_b)] {
             let net = executor.flow_network(side, &challenge).expect("valid");
             prop_assert!(flow.check_feasible(&net, 1e-9).expect("shape").is_feasible());
-            let residual = ResidualGraph::new(&net, flow, 1e-12).expect("shape");
-            prop_assert!(residual.certifies_max_flow());
             let cut = MinCut::from_max_flow(&net, flow, 1e-12).expect("shape");
             prop_assert!(cut.certifies(flow.value(), 1e-9));
         }
