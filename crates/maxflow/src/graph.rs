@@ -104,9 +104,13 @@ pub struct Edge {
 /// the capacities into their own mutable residual state, so one network can
 /// be solved concurrently by several algorithms.
 ///
-/// Parallel edges and self-loops are rejected at insertion time
-/// ([`MaxFlowError::SelfLoop`]) because neither occurs in the PPUF crossbar
-/// and both complicate residual bookkeeping.
+/// Self-loops are rejected at insertion time ([`MaxFlowError::SelfLoop`])
+/// because they never carry flow. Parallel edges are accepted: each is its
+/// own arc in every solver, so two `u → v` edges carry their summed
+/// capacity. `add_edge` does not scan for them, since the PPUF crossbar
+/// builds none and the per-edge check would cost O(out-degree) per
+/// insertion; [`FlowNetwork::is_complete`] is `false` for a network that
+/// has one.
 ///
 /// ```
 /// use ppuf_maxflow::{FlowNetwork, NodeId};
@@ -434,6 +438,23 @@ mod tests {
         let mut net = FlowNetwork::new(3);
         net.add_edge(NodeId::new(0), NodeId::new(1), 1.0).unwrap();
         assert!(!net.is_complete());
+    }
+
+    #[test]
+    fn parallel_edges_are_accepted_and_carry_their_summed_capacity() {
+        use crate::{Dinic, MaxFlowSolver, PushRelabel};
+        let (s, t) = (NodeId::new(0), NodeId::new(1));
+        let mut net = FlowNetwork::new(2);
+        let first = net.add_edge(s, t, 1.5).unwrap();
+        let second = net.add_edge(s, t, 2.0).unwrap();
+        assert_ne!(first, second);
+        assert_eq!(net.out_edges(s), &[first, second]);
+        assert!(!net.is_complete());
+        let solvers: [&dyn MaxFlowSolver; 2] = [&Dinic::new(), &PushRelabel::new()];
+        for solver in solvers {
+            let flow = solver.max_flow(&net, s, t).unwrap();
+            assert_eq!(flow.value(), 3.5, "{}", solver.name());
+        }
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!
 //! Keys are `(device id, challenge fingerprint, answer fingerprint)`;
 //! fingerprints are 64-bit [`SipHash`](std::collections::hash_map::DefaultHasher)
-//! digests, so a false hit needs a ~2⁻⁶⁴ collision on a non-adversarial
-//! hash of the full flow function. The map is split into shards, each
-//! behind its own mutex, so worker threads do not serialize on one lock.
+//! digests. The answer fingerprint hashes the bytes wire 2.0 carries for
+//! the flows (the nonzero edges only), which name the full flow function
+//! one-to-one, so a false hit still needs a ~2⁻⁶⁴ collision on a
+//! non-adversarial hash. The map is split into shards, each behind its
+//! own mutex, so worker threads do not serialize on one lock.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -24,6 +26,8 @@ use std::sync::Mutex;
 use ppuf_core::challenge::Challenge;
 use ppuf_core::protocol::auth::{ProverAnswer, VerificationReport};
 
+use crate::wire2;
+
 /// 64-bit digest of a challenge (terminals plus every control bit).
 pub fn challenge_fingerprint(challenge: &Challenge) -> u64 {
     let mut hasher = DefaultHasher::new();
@@ -31,17 +35,17 @@ pub fn challenge_fingerprint(challenge: &Challenge) -> u64 {
     hasher.finish()
 }
 
-/// 64-bit digest of an answer (response bit plus both full flow
-/// functions, bit-exact).
+/// 64-bit digest of an answer: the response bit, then both flows in
+/// the sparse wire-2.0 `SubmitAnswer` layout
+/// ([`wire2`] module docs).
+///
+/// An honest n = 200 answer thus hashes ~575 entries per flow instead of
+/// 39,800 edges. The layout puts each count before what it counts, so it
+/// names the flows bit-exactly (`0.0` and `-0.0` differ).
 pub fn answer_fingerprint(answer: &ProverAnswer) -> u64 {
     let mut hasher = DefaultHasher::new();
     answer.response.hash(&mut hasher);
-    for flow in [&answer.flow_a, &answer.flow_b] {
-        flow.value().to_bits().hash(&mut hasher);
-        for f in flow.edge_flows() {
-            f.to_bits().hash(&mut hasher);
-        }
-    }
+    hasher.write(&wire2::answer_flow_bytes(answer));
     hasher.finish()
 }
 
@@ -136,7 +140,9 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use ppuf_core::protocol::auth::NetworkVerdict;
-    use ppuf_maxflow::NodeId;
+    use ppuf_maxflow::{Flow, NodeId};
+
+    use crate::wire::Request;
 
     fn challenge(bits: &[bool]) -> Challenge {
         Challenge { source: NodeId::new(0), sink: NodeId::new(1), control_bits: bits.to_vec() }
@@ -169,6 +175,51 @@ mod tests {
         let a = challenge_fingerprint(&challenge(&[true, false, true]));
         let b = challenge_fingerprint(&challenge(&[true, true, true]));
         assert_ne!(a, b);
+    }
+
+    fn flow(edges: &[f64]) -> Flow {
+        let value = edges.iter().sum();
+        Flow::from_edge_flows(NodeId::new(0), NodeId::new(1), value, edges.to_vec())
+    }
+
+    fn answer(flow_a: Flow, flow_b: Flow) -> ProverAnswer {
+        ProverAnswer { response: true, flow_a, flow_b }
+    }
+
+    #[test]
+    fn answers_that_differ_anywhere_have_distinct_fingerprints() {
+        let base = answer(flow(&[0.0, 1.5, 0.0, 2.0]), flow(&[0.25, 0.0, 0.0]));
+        let variants = [
+            // 0.0 versus -0.0 on one edge: only the bits differ
+            answer(flow(&[-0.0, 1.5, 0.0, 2.0]), flow(&[0.25, 0.0, 0.0])),
+            // 1.5 moved from edge 1 to edge 2
+            answer(flow(&[0.0, 0.0, 1.5, 2.0]), flow(&[0.25, 0.0, 0.0])),
+            // the same nonzeros with one more (zero) edge
+            answer(flow(&[0.0, 1.5, 0.0, 2.0, 0.0]), flow(&[0.25, 0.0, 0.0])),
+            // flow A and flow B swapped
+            answer(flow(&[0.25, 0.0, 0.0]), flow(&[0.0, 1.5, 0.0, 2.0])),
+        ];
+        let fp = answer_fingerprint(&base);
+        for variant in &variants {
+            assert_ne!(answer_fingerprint(variant), fp, "{variant:?}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_survives_a_wire2_roundtrip() {
+        let original = answer(
+            flow(&[0.0, -0.0, f64::NAN, 0.0, 3.0, f64::INFINITY]),
+            flow(&[f64::MIN_POSITIVE / 2.0, 0.0]),
+        );
+        let request =
+            Request::SubmitAnswer { device_id: "dev".into(), nonce: 3, answer: original.clone() };
+        let bytes = wire2::encode_request(1, &request);
+        let (frame, _) = wire2::parse_frame(&bytes).unwrap().expect("complete frame");
+        let Request::SubmitAnswer { answer: decoded, .. } = wire2::decode_request(&frame).unwrap()
+        else {
+            panic!("decoded a different request");
+        };
+        assert_eq!(answer_fingerprint(&decoded), answer_fingerprint(&original));
     }
 
     #[test]

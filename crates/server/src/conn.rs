@@ -17,7 +17,8 @@
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ppuf_telemetry::TraceId;
@@ -42,7 +43,8 @@ pub struct TransportStats {
     /// Connections reaped by the idle-timeout / read-deadline sweep.
     reaped: AtomicU64,
     /// Requests answered `Overloaded` by the reactor because the dispatch
-    /// queue was full (never reached the service).
+    /// queue was full or the answer-edge budget was spent (never reached
+    /// the service).
     shed_requests: AtomicU64,
     requests_json: AtomicU64,
     requests_binary: AtomicU64,
@@ -143,6 +145,64 @@ impl TransportStats {
     }
 }
 
+/// The dense flow edges that decoded wire-2.0 `SubmitAnswer` requests
+/// may hold at once, shared by every connection.
+///
+/// A sparse frame of a few dozen bytes can name
+/// [`wire2::MAX_FLOW_EDGES`] edges, so a per-frame cap alone would let a
+/// peer that pipelines many such frames make the server allocate far more
+/// than it received. A frame that needs more than is left is answered
+/// `Overloaded` before its flows are allocated. Only the reactor thread
+/// charges; charges return from any thread as they drop.
+#[derive(Debug)]
+pub(crate) struct EdgeBudget(Arc<AtomicUsize>);
+
+impl EdgeBudget {
+    pub(crate) fn new(edges: usize) -> Self {
+        EdgeBudget(Arc::new(AtomicUsize::new(edges)))
+    }
+
+    /// Edges not held by any in-flight request.
+    pub(crate) fn available(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Holds `edges` (at most [`available`](Self::available), which only
+    /// the caller lowers) until the returned charge drops; `None` for a
+    /// request that holds no answer edges.
+    fn charge(&self, edges: usize) -> Option<EdgeCharge> {
+        (edges > 0).then(|| {
+            self.0.fetch_sub(edges, Ordering::Relaxed);
+            EdgeCharge { budget: Arc::clone(&self.0), edges }
+        })
+    }
+}
+
+/// The answer edges one in-flight request holds; dropping it returns them
+/// to the server's budget
+/// ([`AsyncConfig::max_answer_edges`](crate::AsyncConfig::max_answer_edges)).
+#[derive(Debug)]
+pub struct EdgeCharge {
+    budget: Arc<AtomicUsize>,
+    edges: usize,
+}
+
+impl Drop for EdgeCharge {
+    fn drop(&mut self) {
+        self.budget.fetch_add(self.edges, Ordering::Relaxed);
+    }
+}
+
+/// Dense flow edges a decoded request holds.
+fn answer_edges(request: &Request) -> usize {
+    match request {
+        Request::SubmitAnswer { answer, .. } => {
+            answer.flow_a.edge_flows().len() + answer.flow_b.edge_flows().len()
+        }
+        _ => 0,
+    }
+}
+
 /// Which protocol a connection speaks, decided by its first byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireMode {
@@ -223,6 +283,16 @@ pub enum Inbound {
         /// The trace to run it under (client-adopted or the connection
         /// trace).
         trace: TraceId,
+        /// The answer edges the request holds until it is answered (only
+        /// a wire-2.0 `SubmitAnswer` holds any: a JSON flow is no larger
+        /// than its text).
+        charge: Option<EdgeCharge>,
+    },
+    /// A wire-2.0 `SubmitAnswer` whose flows would overdraw the server's
+    /// answer-edge budget: answered `Overloaded` without allocating them.
+    Overloaded {
+        /// Response-routing key.
+        corr: Corr,
     },
     /// A frame whose payload did not decode: answered `Malformed` without
     /// dispatch, connection stays up (the wire 1.x contract).
@@ -314,11 +384,16 @@ impl Conn {
     }
 
     /// Nonblocking read pump: pulls everything available off the socket,
-    /// then parses as many complete frames as arrived.
+    /// then parses as many complete frames as arrived, charging decoded
+    /// wire-2.0 answers to `budget`.
     ///
     /// `Ok(items)` may be empty (partial frame). An `Err` is a close
     /// verdict, not an I/O result — the reactor tears the connection down.
-    pub(crate) fn on_readable(&mut self, now: Instant) -> Result<Vec<Inbound>, CloseReason> {
+    pub(crate) fn on_readable(
+        &mut self,
+        now: Instant,
+        budget: &EdgeBudget,
+    ) -> Result<Vec<Inbound>, CloseReason> {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
@@ -339,11 +414,11 @@ impl Conn {
                 Err(e) => return Err(CloseReason::Io(e.to_string())),
             }
         }
-        self.parse(now)
+        self.parse(now, budget)
     }
 
     /// Parses every complete frame currently buffered.
-    fn parse(&mut self, now: Instant) -> Result<Vec<Inbound>, CloseReason> {
+    fn parse(&mut self, now: Instant, budget: &EdgeBudget) -> Result<Vec<Inbound>, CloseReason> {
         if self.mode == WireMode::Unknown && !self.read_buf.is_empty() {
             self.mode = match self.read_buf[0] {
                 b if b == wire2::MAGIC[0] => WireMode::Binary,
@@ -356,7 +431,7 @@ impl Conn {
         let mut consumed = 0usize;
         let result = match self.mode {
             WireMode::Unknown => Ok(()),
-            WireMode::Binary => self.parse_binary(&mut items, &mut consumed),
+            WireMode::Binary => self.parse_binary(&mut items, &mut consumed, budget),
             WireMode::Json => self.parse_json(&mut items, &mut consumed),
         };
         if consumed > 0 {
@@ -375,6 +450,7 @@ impl Conn {
         &mut self,
         items: &mut Vec<Inbound>,
         consumed: &mut usize,
+        budget: &EdgeBudget,
     ) -> Result<(), CloseReason> {
         loop {
             match wire2::parse_frame(&self.read_buf[*consumed..]) {
@@ -382,9 +458,18 @@ impl Conn {
                 Ok(Some((frame, used))) => {
                     *consumed += used;
                     let corr = Corr::Binary(frame.corr);
-                    match wire2::decode_request(&frame) {
+                    match wire2::decode_request_within(&frame, budget.available()) {
                         Ok(request) => {
-                            items.push(Inbound::Request { corr, request, trace: self.trace });
+                            let charge = budget.charge(answer_edges(&request));
+                            items.push(Inbound::Request {
+                                corr,
+                                request,
+                                trace: self.trace,
+                                charge,
+                            });
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::OutOfMemory => {
+                            items.push(Inbound::Overloaded { corr });
                         }
                         Err(e) => items.push(Inbound::Malformed { corr, message: e.to_string() }),
                     }
@@ -438,6 +523,7 @@ impl Conn {
                         corr: Corr::Json { seq, trace_echo },
                         request: envelope.body,
                         trace,
+                        charge: None,
                     });
                 }
                 Err(e) => items.push(Inbound::Malformed {
@@ -535,17 +621,18 @@ mod tests {
         bytes: &[u8],
     ) -> Result<Vec<Inbound>, CloseReason> {
         use std::io::Write as _;
+        let budget = EdgeBudget::new(wire2::MAX_FLOW_EDGES);
         peer.write_all(bytes).unwrap();
         peer.flush().unwrap();
         // loopback delivery is fast but not instant
         for _ in 0..50 {
             std::thread::sleep(std::time::Duration::from_millis(2));
-            let items = conn.on_readable(Instant::now())?;
+            let items = conn.on_readable(Instant::now(), &budget)?;
             if !items.is_empty() || conn.mode() != WireMode::Unknown {
                 return Ok(items);
             }
         }
-        conn.on_readable(Instant::now())
+        conn.on_readable(Instant::now(), &budget)
     }
 
     #[test]
@@ -632,6 +719,48 @@ mod tests {
             [Inbound::Request { request: Request::GetChallenge { .. }, .. }]
         ));
         assert!(conn.frame_since.is_none(), "complete frame disarms the deadline");
+    }
+
+    #[test]
+    fn pipelined_answers_past_the_edge_budget_are_shed_undecoded() {
+        use std::io::Write as _;
+        // a well-formed answer naming the most edges one frame may, with
+        // no entries: 60 B of payload asking for 16 MiB of flows
+        let mut payload = vec![1, 0, b'd'];
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.push(1);
+        for _ in 0..2 {
+            payload.extend_from_slice(&0u32.to_le_bytes());
+            payload.extend_from_slice(&1u32.to_le_bytes());
+            payload.extend_from_slice(&0f64.to_le_bytes());
+            payload.extend_from_slice(&(wire2::MAX_FLOW_EDGES as u32 / 2).to_le_bytes());
+            payload.extend_from_slice(&0u32.to_le_bytes());
+        }
+        let frames = 64;
+        let bytes: Vec<u8> = (0..frames)
+            .flat_map(|corr| wire2::encode_frame(wire2::opcode::SUBMIT_ANSWER, corr, &payload))
+            .collect();
+        let (mut conn, mut peer) = test_conn();
+        let budget = EdgeBudget::new(4 * wire2::MAX_FLOW_EDGES);
+        peer.write_all(&bytes).unwrap();
+        // every item stays alive, so its charge stays held, however the
+        // bytes are split across reads
+        let mut items = Vec::new();
+        for _ in 0..500 {
+            items.extend(conn.on_readable(Instant::now(), &budget).unwrap());
+            if items.len() == frames as usize {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert_eq!(items.len(), frames as usize);
+        let decoded = items.iter().filter(|item| matches!(item, Inbound::Request { .. })).count();
+        let shed = items.iter().filter(|item| matches!(item, Inbound::Overloaded { .. })).count();
+        assert_eq!((decoded, shed), (4, frames as usize - 4));
+        assert_eq!(budget.available(), 0);
+        // answering the decoded requests returns their edges
+        drop(items);
+        assert_eq!(budget.available(), 4 * wire2::MAX_FLOW_EDGES);
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //!   are closed immediately (counted in `ppuf_conn_rejected_total`);
 //! - **dispatch backpressure** — a full dispatch queue answers
 //!   `Overloaded` (+ retry hint) from the event loop without blocking;
+//! - **answer-edge budget** — a wire-2.0 answer whose dense flows would
+//!   push the edges held by all in-flight answers past
+//!   [`AsyncConfig::max_answer_edges`] is answered `Overloaded` before
+//!   its flows are allocated (a sparse frame of a few dozen bytes can
+//!   name millions of edges);
 //! - **slow-loris reaping** — a frame left half-written past
 //!   [`AsyncConfig::read_deadline`], or a connection idle past
 //!   [`AsyncConfig::idle_timeout`], is swept and closed;
@@ -44,9 +49,12 @@ use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use mio::{Events, Interest, Mode, Poll, Token, Waker};
 use ppuf_telemetry::{next_trace_id, record_root_interval, Recorder, TraceId};
 
-use crate::conn::{CloseReason, Conn, Corr, Inbound, TransportStats, WireMode};
+use crate::conn::{
+    CloseReason, Conn, Corr, EdgeBudget, EdgeCharge, Inbound, TransportStats, WireMode,
+};
 use crate::service::VerificationService;
 use crate::wire::{ErrorKind, Request, Response};
+use crate::wire2;
 
 const WAKER_TOKEN: Token = Token(0);
 const LISTENER_TOKEN: Token = Token(1);
@@ -79,6 +87,11 @@ pub struct AsyncConfig {
     pub sweep_interval: Duration,
     /// Readiness events drained per poll.
     pub events_capacity: usize,
+    /// Dense flow edges (8 B each) that decoded wire-2.0 answers may hold
+    /// at once, across every connection: an answer that needs more than
+    /// is left is answered `Overloaded` before its flows are allocated.
+    /// Keep it ≥ [`wire2::MAX_FLOW_EDGES`], the most one answer may need.
+    pub max_answer_edges: usize,
     /// Kernel listen backlog (clamped by `net.core.somaxconn`). Must be
     /// deep enough to absorb a whole connect storm: on a single core the
     /// reactor and a bursting client timeshare the CPU, and a full
@@ -98,6 +111,8 @@ impl Default for AsyncConfig {
             max_write_buf: 2 * crate::wire::MAX_FRAME_LEN,
             sweep_interval: Duration::from_millis(250),
             events_capacity: 1024,
+            // 64 MiB: four answers at the cap, ~100 at n = 200
+            max_answer_edges: 4 * wire2::MAX_FLOW_EDGES,
             listen_backlog: 4096,
         }
     }
@@ -110,6 +125,7 @@ struct Job {
     corr: Corr,
     request: Request,
     trace: TraceId,
+    charge: Option<EdgeCharge>,
 }
 
 /// One finished request coming back from the dispatch pool.
@@ -232,6 +248,7 @@ impl AsyncServer {
                 shutdown: Arc::clone(&shutdown),
                 next_gen: 1,
                 phases: PhaseTimes::default(),
+                answer_edges: EdgeBudget::new(config.max_answer_edges),
             };
             std::thread::Builder::new().name("ppuf-reactor".into()).spawn(move || reactor.run())?
         };
@@ -292,9 +309,10 @@ fn dispatch_loop(
     done_tx: &Sender<Done>,
     waker: &Waker,
 ) {
-    while let Ok(job) = job_rx.recv() {
-        let response = service.handle_traced(job.request, job.trace);
-        let done = Done { slot: job.slot, gen: job.gen, corr: job.corr, response };
+    while let Ok(Job { slot, gen, corr, request, trace, charge }) = job_rx.recv() {
+        let response = service.handle_traced(request, trace);
+        drop(charge); // the answer's flows are freed
+        let done = Done { slot, gen, corr, response };
         if done_tx.send(done).is_err() {
             break; // event loop gone
         }
@@ -319,6 +337,7 @@ struct Reactor {
     shutdown: Arc<AtomicBool>,
     next_gen: u64,
     phases: PhaseTimes,
+    answer_edges: EdgeBudget,
 }
 
 impl Reactor {
@@ -446,7 +465,7 @@ impl Reactor {
         }
         if readable {
             let t0 = Instant::now();
-            let parsed = conn.on_readable(now);
+            let parsed = conn.on_readable(now, &self.answer_edges);
             self.phases.parse += t0.elapsed();
             match parsed {
                 Ok(items) => {
@@ -469,27 +488,31 @@ impl Reactor {
     /// well-formed requests go to the dispatch pool (or shed).
     fn handle_inbound(&mut self, slot: usize, item: Inbound) {
         let Some(Some(conn)) = self.conns.get_mut(slot) else { return };
+        // shed from the event loop with the same shape the service's own
+        // queue-full path uses
+        let overloaded = |message: &str| Response::Error {
+            kind: ErrorKind::Overloaded,
+            message: message.into(),
+            retry_after_ms: Some(self.service.config().retry_after_ms),
+        };
         match item {
             Inbound::Malformed { corr, message } => {
                 self.service.recorder().counter_add("server.requests.malformed", 1);
                 conn.complete(corr, &Response::error(ErrorKind::Malformed, message));
             }
-            Inbound::Request { corr, request, trace } => {
+            Inbound::Overloaded { corr } => {
+                self.stats.request_shed();
+                conn.complete(corr, &overloaded("answer edge budget spent"));
+            }
+            Inbound::Request { corr, request, trace, charge } => {
                 self.stats.request_parsed(conn.mode());
-                let job = Job { slot, gen: conn.gen, corr, request, trace };
+                let job = Job { slot, gen: conn.gen, corr, request, trace, charge };
                 match self.job_tx.try_send(job) {
                     Ok(()) => conn.in_flight += 1,
                     Err(TrySendError::Full(job)) => {
-                        // dispatch tier saturated: shed from the event
-                        // loop with the same shape the service's own
-                        // queue-full path uses
+                        // dispatch tier saturated
                         self.stats.request_shed();
-                        let response = Response::Error {
-                            kind: ErrorKind::Overloaded,
-                            message: "dispatch queue full".into(),
-                            retry_after_ms: Some(self.service.config().retry_after_ms),
-                        };
-                        conn.complete(job.corr, &response);
+                        conn.complete(job.corr, &overloaded("dispatch queue full"));
                     }
                     Err(TrySendError::Disconnected(_)) => {} // shutting down
                 }

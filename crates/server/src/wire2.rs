@@ -22,6 +22,39 @@
 //! [`opcode::JSON_REQUEST`] / [`opcode::JSON_RESPONSE`] frame — full
 //! coverage without a binary schema for every message.
 //!
+//! **`SubmitAnswer` (opcode `0x04`).** An honest answer's flows are
+//! mostly zero (575 of 39,800 edges at n = 200), so each flow ships only
+//! the edges whose `f64` bits are not all zero:
+//!
+//! ```text
+//! size      field
+//! 2 + len   device id (u16 length, UTF-8)
+//! 8         nonce
+//! 1         response bit (0 or 1)
+//! ...       flow A, then flow B, each:
+//!   4         source node
+//!   4         sink node
+//!   8         value (f64)
+//!   4         edge count
+//!   4         nonzero count
+//!   1..10+8   per nonzero edge: LEB128 gap, then the f64; the edge
+//!             index is previous + 1 + gap, the first index is its gap
+//! ```
+//!
+//! Indices rise strictly by construction, so the decoder checks only that
+//! each lies below the edge count. It also rejects a nonzero count above
+//! the edge count or above what the remaining bytes can hold, a varint
+//! longer than 10 bytes, trailing bytes, and edge counts summing past
+//! [`MAX_FLOW_EDGES`]; the encoder sends an answer past that cap as JSON.
+//! Since a few dozen bytes can name that many edges, the serving tier
+//! also bounds the edges all in-flight answers hold together
+//! ([`AsyncConfig::max_answer_edges`](crate::AsyncConfig::max_answer_edges)).
+//! `-0.0`, NaN payloads and infinities round-trip bit-exactly. A fully
+//! dense answer costs at most 9 B per edge, so even a dense n = 900
+//! forgery (about 14.6 MB) fits one frame. The retired
+//! dense form, opcode `0x02` (every edge as an `f64`), is now an unknown
+//! opcode: a stale client gets a `Malformed` error, never a misparse.
+//!
 //! **Negotiation.** A JSON (wire 1.x) frame starts with a 4-byte
 //! big-endian length capped at [`MAX_FRAME_LEN`] = 16 MiB, so its first
 //! byte is always `0x00` or `0x01`. The first byte of a wire-2.0 frame is
@@ -54,10 +87,12 @@ pub const HEADER_LEN: usize = 16;
 pub mod opcode {
     /// `Request::GetChallenge` (fixed binary payload).
     pub const GET_CHALLENGE: u8 = 0x01;
-    /// `Request::SubmitAnswer` (fixed binary payload).
-    pub const SUBMIT_ANSWER: u8 = 0x02;
     /// `Request::Ping` (empty payload).
     pub const PING: u8 = 0x03;
+    /// `Request::SubmitAnswer` (fixed binary payload, sparse flows). The
+    /// dense-flow form's `0x02` is retired and decodes as an unknown
+    /// opcode.
+    pub const SUBMIT_ANSWER: u8 = 0x04;
     /// Any other `Request`, JSON-encoded in the payload.
     pub const JSON_REQUEST: u8 = 0x0F;
     /// `Response::Challenge` (fixed binary payload).
@@ -311,15 +346,38 @@ impl Enc {
         }
     }
 
+    /// Unsigned LEB128: 7 bits per byte, low group first, high bit set
+    /// on every byte but the last.
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.u8(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.u8(v as u8);
+    }
+
+    /// Terminals, value, edge count, then one `(gap, f64)` entry per edge
+    /// whose bits are not all zero (see the module docs). `-0.0`, NaN
+    /// payloads and infinities are nonzero bit patterns, so they travel
+    /// bit-exactly like any other value.
     fn flow(&mut self, flow: &Flow) {
         self.u32(flow.source().index() as u32);
         self.u32(flow.sink().index() as u32);
         self.f64(flow.value());
         let edges = flow.edge_flows();
         self.u32(edges.len() as u32);
-        for &f in edges {
-            self.f64(f);
+        let count_at = self.buf.len();
+        self.u32(0); // nonzero count, patched once the entries are written
+        let (mut nonzeros, mut next) = (0u32, 0usize);
+        for (index, &f) in edges.iter().enumerate() {
+            if f.to_bits() != 0 {
+                self.varint((index - next) as u64);
+                self.f64(f);
+                next = index + 1;
+                nonzeros += 1;
+            }
         }
+        self.buf[count_at..count_at + 4].copy_from_slice(&nonzeros.to_le_bytes());
     }
 
     fn challenge(&mut self, challenge: &Challenge) {
@@ -389,19 +447,6 @@ impl<'a> Dec<'a> {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
-    /// Guards a count field against forcing a giant allocation: the
-    /// elements must actually fit in the remaining payload.
-    fn counted(&mut self, per_element: usize) -> io::Result<usize> {
-        let count = self.u32()? as usize;
-        if count.saturating_mul(per_element) > self.buf.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("wire-2.0 count {count} larger than remaining payload"),
-            ));
-        }
-        Ok(count)
-    }
-
     fn bits(&mut self) -> io::Result<Vec<bool>> {
         let count = self.u32()? as usize;
         // packed-size guard before the Vec<bool> allocation: a hostile
@@ -417,16 +462,69 @@ impl<'a> Dec<'a> {
         Ok((0..count).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
     }
 
-    fn flow(&mut self) -> io::Result<Flow> {
+    /// Unsigned LEB128 of at most 10 bytes whose value fits a `u64`.
+    fn varint(&mut self) -> io::Result<u64> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && (byte & 0x80 != 0 || group > 1) {
+                break; // a tenth byte may carry only the top bit of a u64
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "wire-2.0 varint is overlong or overflows u64",
+        ))
+    }
+
+    /// Decodes one flow's fixed fields and sparse entries. Nothing here
+    /// is sized by the edge count: the entries are bounded by the bytes
+    /// that carry them, and the dense vector is built only once the
+    /// caller has checked the edge counts ([`SparseFlow::into_flow`]).
+    fn flow(&mut self) -> io::Result<SparseFlow> {
         let source = NodeId::new(self.u32()?);
         let sink = NodeId::new(self.u32()?);
         let value = self.f64()?;
-        let count = self.counted(8)?;
-        let mut edges = Vec::with_capacity(count);
-        for _ in 0..count {
-            edges.push(self.f64()?);
+        let edge_count = self.u32()? as usize;
+        if edge_count > MAX_FLOW_EDGES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("wire-2.0 flow edge count {edge_count} exceeds the cap {MAX_FLOW_EDGES}"),
+            ));
         }
-        Ok(Flow::from_edge_flows(source, sink, value, edges))
+        let nonzeros = self.u32()? as usize;
+        // an entry is at least a 1-byte gap plus an f64
+        if nonzeros > edge_count || nonzeros.saturating_mul(9) > self.buf.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("wire-2.0 nonzero count {nonzeros} exceeds edge count or payload"),
+            ));
+        }
+        let mut entries = Vec::with_capacity(nonzeros);
+        let mut next = 0usize;
+        for _ in 0..nonzeros {
+            let gap = self.varint()?;
+            let index = usize::try_from(gap)
+                .ok()
+                .and_then(|gap| next.checked_add(gap))
+                .filter(|&index| index < edge_count)
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "wire-2.0 flow entry gap {gap} runs past the edge count {edge_count}"
+                        ),
+                    )
+                })?;
+            entries.push((index, self.f64()?));
+            next = index + 1;
+        }
+        Ok(SparseFlow { source, sink, value, edge_count, entries })
     }
 
     fn challenge(&mut self) -> io::Result<Challenge> {
@@ -447,6 +545,37 @@ impl<'a> Dec<'a> {
         }
     }
 }
+
+/// One answer flow as wire 2.0 carries it: the edge count and the
+/// `(index, value)` of each edge whose bits are not all zero, in rising
+/// index order.
+struct SparseFlow {
+    source: NodeId,
+    sink: NodeId,
+    value: f64,
+    edge_count: usize,
+    entries: Vec<(usize, f64)>,
+}
+
+impl SparseFlow {
+    /// Scatters the entries into a zeroed dense edge vector.
+    fn into_flow(self) -> Flow {
+        let mut edges = vec![0.0; self.edge_count];
+        for (index, f) in self.entries {
+            edges[index] = f;
+        }
+        Flow::from_edge_flows(self.source, self.sink, self.value, edges)
+    }
+}
+
+/// Most edges the flows of one decoded `SubmitAnswer` may hold together.
+/// Sparse entries let a small frame name a large edge count, so the
+/// decoder caps the dense vectors one frame may ask for at what one frame
+/// of raw `f64`s could carry: `MAX_FRAME_LEN / 8` edges, 16 MiB. The
+/// paper's largest device (n = 900) needs 2 × 809,100. A server holding
+/// many decoded answers at once bounds their sum as well
+/// ([`AsyncConfig::max_answer_edges`](crate::AsyncConfig::max_answer_edges)).
+pub const MAX_FLOW_EDGES: usize = MAX_FRAME_LEN / 8;
 
 /// Longest device id a wire-2.0 request may carry, enforced at decode
 /// (both the fixed binary encodings and `JSON_REQUEST` frames). The
@@ -500,6 +629,12 @@ fn try_encode_request(request: &Request) -> Option<(u8, Vec<u8>)> {
             opcode::GET_CHALLENGE
         }
         Request::SubmitAnswer { device_id, nonce, answer } => {
+            // the decoder refuses more edges than this, so such an answer
+            // rides JSON, whose size its own bytes bound
+            if answer.flow_a.edge_flows().len() + answer.flow_b.edge_flows().len() > MAX_FLOW_EDGES
+            {
+                return None;
+            }
             enc.string(device_id).ok()?;
             enc.u64(*nonce);
             enc.u8(u8::from(answer.response));
@@ -511,6 +646,16 @@ fn try_encode_request(request: &Request) -> Option<(u8, Vec<u8>)> {
         _ => return None,
     };
     Some((opcode, enc.buf))
+}
+
+/// Both flows of `answer` in the sparse `SubmitAnswer` layout (see the
+/// module docs). The verification cache fingerprints answers by hashing
+/// these bytes, so the sparse form has one definition.
+pub(crate) fn answer_flow_bytes(answer: &ProverAnswer) -> Vec<u8> {
+    let mut enc = Enc::default();
+    enc.flow(&answer.flow_a);
+    enc.flow(&answer.flow_b);
+    enc.buf
 }
 
 /// Encodes a request as one wire-2.0 frame under `corr`. Requests whose
@@ -611,11 +756,20 @@ pub fn encode_response(corr: u64, response: &Response) -> Vec<u8> {
 /// # Errors
 ///
 /// `InvalidData` for an unknown opcode, a truncated or trailing-bytes
-/// payload, an unparseable JSON payload, or a device id past
+/// payload, an unparseable JSON payload, a `SubmitAnswer` whose flows
+/// hold more than [`MAX_FLOW_EDGES`] edges together, or a device id past
 /// [`MAX_DEVICE_ID_LEN`] — the caller answers with a structured
 /// `Malformed` error, keeping the connection alive (matching the JSON
 /// wire's contract).
 pub fn decode_request(frame: &Frame2) -> io::Result<Request> {
+    decode_request_within(frame, MAX_FLOW_EDGES)
+}
+
+/// [`decode_request`] for a caller that bounds the dense answer edges
+/// all its decoded requests hold together: a well-formed `SubmitAnswer`
+/// whose flows need more than `edge_budget` edges fails with
+/// [`io::ErrorKind::OutOfMemory`] before any dense vector is allocated.
+pub(crate) fn decode_request_within(frame: &Frame2, edge_budget: usize) -> io::Result<Request> {
     let mut dec = Dec::new(&frame.payload);
     let request = match frame.opcode {
         opcode::GET_CHALLENGE => Request::GetChallenge { device_id: dec.string()? },
@@ -625,11 +779,22 @@ pub fn decode_request(frame: &Frame2) -> io::Result<Request> {
             let response = dec.bool()?;
             let flow_a = dec.flow()?;
             let flow_b = dec.flow()?;
-            Request::SubmitAnswer {
-                device_id,
-                nonce,
-                answer: ProverAnswer { response, flow_a, flow_b },
+            let edges = flow_a.edge_count + flow_b.edge_count;
+            if edges > MAX_FLOW_EDGES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("wire-2.0 answer edge count {edges} exceeds the cap {MAX_FLOW_EDGES}"),
+                ));
             }
+            if edges > edge_budget {
+                return Err(io::Error::new(
+                    io::ErrorKind::OutOfMemory,
+                    format!("answer of {edges} edges exceeds the {edge_budget} edges free"),
+                ));
+            }
+            let answer =
+                ProverAnswer { response, flow_a: flow_a.into_flow(), flow_b: flow_b.into_flow() };
+            Request::SubmitAnswer { device_id, nonce, answer }
         }
         opcode::PING => Request::Ping,
         opcode::JSON_REQUEST => {
@@ -801,6 +966,170 @@ mod tests {
         let err = decode_request(&frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("count"), "{err}");
+    }
+
+    /// A `SubmitAnswer` payload up to the start of flow A.
+    fn submit_prefix() -> Enc {
+        let mut enc = Enc::default();
+        enc.string("d").unwrap();
+        enc.u64(1);
+        enc.u8(1);
+        enc
+    }
+
+    /// A flow's fixed fields: terminals 0 → 1, value 0, then the counts.
+    fn flow_header(enc: &mut Enc, edges: u32, nonzeros: u32) {
+        enc.u32(0);
+        enc.u32(1);
+        enc.f64(0.0);
+        enc.u32(edges);
+        enc.u32(nonzeros);
+    }
+
+    fn decode_submit(payload: Vec<u8>) -> io::Result<Request> {
+        decode_request(&Frame2 { opcode: opcode::SUBMIT_ANSWER, corr: 1, payload })
+    }
+
+    /// Decoding `enc`'s payload fails with `InvalidData` naming `what`.
+    fn assert_rejected(enc: Enc, what: &str) {
+        let err = decode_submit(enc.buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(what), "{what:?} not in {err}");
+    }
+
+    #[test]
+    fn varints_roundtrip_at_group_boundaries() {
+        for v in [0, 1, 0x7F, 0x80, 0x3FFF, 0x4000, u64::from(u32::MAX), u64::MAX >> 1, u64::MAX] {
+            let mut enc = Enc::default();
+            enc.varint(v);
+            assert!(enc.buf.len() <= 10);
+            let mut dec = Dec::new(&enc.buf);
+            assert_eq!(dec.varint().unwrap(), v);
+            dec.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn sparse_entry_past_the_edge_count_is_rejected() {
+        // the second gap lands on index 4 of a 4-edge flow
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, 4, 2);
+        enc.varint(1);
+        enc.f64(1.0);
+        enc.varint(2);
+        enc.f64(1.0);
+        assert_rejected(enc, "runs past the edge count");
+        // a gap that overflows the index arithmetic
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, 4, 1);
+        enc.varint(u64::MAX);
+        enc.f64(1.0);
+        assert_rejected(enc, "runs past the edge count");
+    }
+
+    #[test]
+    fn nonzero_count_past_the_edge_count_or_payload_is_rejected() {
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, 2, 3);
+        for _ in 0..3 {
+            enc.varint(0);
+            enc.f64(1.0);
+        }
+        assert_rejected(enc, "nonzero count 3");
+        // a count the remaining bytes cannot hold, even at 9 B an entry
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, 100, 50);
+        enc.varint(0);
+        enc.f64(1.0);
+        assert_rejected(enc, "nonzero count 50");
+    }
+
+    #[test]
+    fn edge_counts_past_the_combined_cap_are_rejected() {
+        let half = (MAX_FLOW_EDGES / 2) as u32;
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, half, 0);
+        flow_header(&mut enc, half + 1, 0);
+        assert_rejected(enc, "edge count");
+    }
+
+    #[test]
+    fn small_payload_asking_for_maximal_edge_counts_stops_at_the_cap() {
+        // the counts are checked once both flows' entries are read, and
+        // the entries are bounded by their bytes, so a frame this small
+        // allocates no dense vector at all, however many edges it names
+        for count in [MAX_FLOW_EDGES as u32, u32::MAX] {
+            let mut enc = submit_prefix();
+            flow_header(&mut enc, count, 0);
+            flow_header(&mut enc, count, 0);
+            assert!(enc.buf.len() < 64);
+            assert_rejected(enc, &format!("exceeds the cap {MAX_FLOW_EDGES}"));
+        }
+    }
+
+    #[test]
+    fn answers_past_the_callers_edge_budget_are_refused_before_allocation() {
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, 600, 0);
+        flow_header(&mut enc, 400, 0);
+        let frame = Frame2 { opcode: opcode::SUBMIT_ANSWER, corr: 1, payload: enc.buf };
+        let err = decode_request_within(&frame, 999).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::OutOfMemory);
+        assert!(err.to_string().contains("1000 edges"), "{err}");
+        assert!(decode_request_within(&frame, 1000).is_ok());
+    }
+
+    #[test]
+    fn answers_past_the_edge_cap_encode_as_json() {
+        // the binary decoder would refuse this answer, so the encoder
+        // never builds that frame
+        let edges = MAX_FLOW_EDGES / 2 + 1;
+        let flow = Flow::from_edge_flows(NodeId::new(0), NodeId::new(1), 0.0, vec![0.0; edges]);
+        let request = Request::SubmitAnswer {
+            device_id: "d".into(),
+            nonce: 1,
+            answer: ProverAnswer { response: true, flow_a: flow.clone(), flow_b: flow },
+        };
+        let bytes = encode_request(1, &request);
+        let (frame, _) = parse_frame(&bytes).unwrap().expect("complete frame");
+        assert_eq!(frame.opcode, opcode::JSON_REQUEST);
+    }
+
+    #[test]
+    fn truncated_and_overlong_varints_are_rejected() {
+        // nine continuation bytes and then the payload ends
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, 4, 1);
+        enc.buf.extend_from_slice(&[0x80; 9]);
+        assert_rejected(enc, "truncated");
+        // eleven bytes for a gap of zero
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, 4, 1);
+        enc.buf.extend_from_slice(&[0x80; 10]);
+        enc.u8(0);
+        enc.f64(1.0);
+        assert_rejected(enc, "overlong");
+        // ten bytes whose last one carries bits past u64
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, 4, 1);
+        enc.buf.extend_from_slice(&[0x80; 9]);
+        enc.u8(0x02);
+        enc.f64(1.0);
+        assert_rejected(enc, "overflows u64");
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_flows_are_rejected() {
+        let mut enc = submit_prefix();
+        flow_header(&mut enc, 3, 1);
+        enc.varint(2);
+        enc.f64(0.5);
+        flow_header(&mut enc, 0, 0);
+        let mut payload = enc.buf.clone();
+        assert!(decode_submit(payload.clone()).is_ok());
+        payload.push(0);
+        let err = decode_submit(payload).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]

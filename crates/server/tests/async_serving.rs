@@ -14,7 +14,7 @@ use ppuf_server::loadgen::{run_async_loadgen, AsyncLoadgenConfig, AsyncLoadgenRe
 use ppuf_server::mux::WireFlavor;
 use ppuf_server::service::{ServiceConfig, VerificationService};
 use ppuf_server::tcp::Client;
-use ppuf_server::wire::{Request, Response};
+use ppuf_server::wire::{ErrorKind, Request, Response};
 use ppuf_server::wire2::{self, opcode};
 use ppuf_server::{AsyncConfig, AsyncServer, HealthStatus};
 
@@ -326,6 +326,93 @@ fn torn_binary_frame_over_live_socket_still_answers() {
     let response = wire2::read_frame2(&mut stream).expect("read").expect("frame");
     assert_eq!(response.corr, 99);
     assert_eq!(response.opcode, opcode::CHALLENGE);
+}
+
+/// A stale client's dense `SubmitAnswer` (the retired opcode `0x02`) is
+/// answered `Malformed` under its correlation id, and the connection
+/// keeps serving.
+#[test]
+fn retired_dense_submit_opcode_is_malformed_and_the_connection_lives() {
+    let server = bind_async(AsyncConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+
+    // device id "dev", nonce 1, response bit, then two dense flows of two
+    // edges: terminals, value, edge count and every edge as an f64
+    let mut payload = vec![3, 0, b'd', b'e', b'v'];
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.push(1);
+    for (source, sink) in [(0u32, 1u32), (1, 0)] {
+        payload.extend_from_slice(&source.to_le_bytes());
+        payload.extend_from_slice(&sink.to_le_bytes());
+        payload.extend_from_slice(&0.5f64.to_le_bytes());
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        for edge in [0.5f64, 0.0] {
+            payload.extend_from_slice(&edge.to_le_bytes());
+        }
+    }
+    wire2::write_frame2(&mut stream, 0x02, 41, &payload).expect("write");
+    let frame = wire2::read_frame2(&mut stream).expect("read").expect("frame");
+    assert_eq!((frame.opcode, frame.corr), (opcode::ERROR, 41));
+    match wire2::decode_response(&frame).expect("decode") {
+        Response::Error { kind: ErrorKind::Malformed, message, .. } => {
+            assert!(message.contains("opcode 0x02"), "{message}");
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+
+    stream.write_all(&wire2::encode_request(42, &Request::Ping)).expect("write ping");
+    let frame = wire2::read_frame2(&mut stream).expect("read").expect("frame");
+    assert_eq!((frame.opcode, frame.corr), (opcode::PONG, 42));
+}
+
+/// Pipelined answers that each name the most edges one frame may, in
+/// one write, are not all decoded at once: past the server's answer-edge
+/// budget they are answered `Overloaded`, and once the decoded ones are
+/// answered their edges are free again.
+#[test]
+fn pipelined_max_edge_answers_are_shed_past_the_edge_budget() {
+    let server = bind_async(AsyncConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+
+    // device "dev" (never registered), nonce 1, response bit, then two
+    // flows naming MAX_FLOW_EDGES / 2 edges each and no entries
+    let mut payload = vec![3, 0, b'd', b'e', b'v'];
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.push(1);
+    for _ in 0..2 {
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&0f64.to_le_bytes());
+        payload.extend_from_slice(&(wire2::MAX_FLOW_EDGES as u32 / 2).to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+    }
+    let frame = |corr| wire2::encode_frame(opcode::SUBMIT_ANSWER, corr, &payload);
+    let frames = 32u64;
+    let burst: Vec<u8> = (0..frames).flat_map(frame).collect();
+    stream.write_all(&burst).expect("write burst");
+
+    let (mut unknown, mut overloaded) = (0, 0);
+    let mut seen = std::collections::HashSet::new();
+    for _ in 0..frames {
+        let reply = wire2::read_frame2(&mut stream).expect("read").expect("frame");
+        assert!(seen.insert(reply.corr), "corr {} answered twice", reply.corr);
+        match wire2::decode_response(&reply).expect("decode") {
+            Response::Error { kind: ErrorKind::UnknownDevice, .. } => unknown += 1,
+            Response::Error { kind: ErrorKind::Overloaded, .. } => overloaded += 1,
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    assert!(unknown >= 1 && overloaded >= 1, "{unknown} decoded, {overloaded} shed");
+
+    // every decoded answer has been answered, so the whole budget is back
+    stream.write_all(&frame(frames)).expect("write");
+    let reply = wire2::read_frame2(&mut stream).expect("read").expect("frame");
+    assert!(matches!(
+        wire2::decode_response(&reply).expect("decode"),
+        Response::Error { kind: ErrorKind::UnknownDevice, .. }
+    ));
 }
 
 /// The reactor attributes its loop time into the service profiler:

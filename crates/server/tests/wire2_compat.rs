@@ -7,7 +7,7 @@ use ppuf_core::challenge::Challenge;
 use ppuf_core::device::{Ppuf, PpufConfig};
 use ppuf_core::protocol::auth::{NetworkVerdict, ProverAnswer, VerificationReport};
 use ppuf_maxflow::{Flow, NodeId};
-use ppuf_server::wire::{ErrorKind, Request, Response};
+use ppuf_server::wire::{ErrorKind, Request, Response, MAX_FRAME_LEN};
 use ppuf_server::wire2::{
     self, decode_request, decode_response, encode_frame, encode_request, encode_response,
     parse_frame, Frame2Error, HEADER_LEN, MAGIC,
@@ -17,6 +17,26 @@ use proptest::prelude::*;
 
 fn flow(source: u32, sink: u32, value: f64, edges: Vec<f64>) -> Flow {
     Flow::from_edge_flows(NodeId::new(source), NodeId::new(sink), value, edges)
+}
+
+/// Mostly `+0.0`, like an honest answer, salted with every bit pattern
+/// `Flow`'s `PartialEq` cannot tell apart or compares unequal to itself.
+fn edge_value() -> impl Strategy<Value = f64> {
+    (0u32..20, 0u64..1 << 51, 0.0f64..4.0).prop_map(|(pick, payload, finite)| match pick {
+        0 => -0.0,
+        1 => f64::MIN_POSITIVE / 4.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        // a quiet NaN and a negative signalling NaN, each with a payload
+        4 => f64::from_bits(0x7FF8_0000_0000_0000 | payload),
+        5 => f64::from_bits(0xFFF0_0000_0000_0001 | payload),
+        6 | 7 => finite,
+        _ => 0.0,
+    })
+}
+
+fn bits_of(edges: &[f64]) -> Vec<u64> {
+    edges.iter().map(|f| f.to_bits()).collect()
 }
 
 /// Asserts a request survives the binary wire bit-for-bit *and* the
@@ -87,6 +107,40 @@ proptest! {
             },
         };
         roundtrip_request(corr, &request)?;
+    }
+
+    #[test]
+    fn sparse_flows_roundtrip_bit_exactly(
+        corr in any::<u64>(),
+        response in any::<bool>(),
+        value_bits in any::<u64>(),
+        edges_a in vec(edge_value(), 0..96),
+        edges_b in vec(edge_value(), 0..96),
+    ) {
+        let answer = ProverAnswer {
+            response,
+            flow_a: flow(0, 5, f64::from_bits(value_bits), edges_a),
+            flow_b: flow(5, 0, -0.0, edges_b),
+        };
+        let request = Request::SubmitAnswer { device_id: "device".into(), nonce: 3, answer };
+        let bytes = encode_request(corr, &request);
+        let (frame, _) = parse_frame(&bytes)
+            .map_err(|e| TestCaseError::fail(format!("parse failed: {e}")))?
+            .ok_or_else(|| TestCaseError::fail("complete frame parsed as partial"))?;
+        prop_assert_eq!(frame.opcode, wire2::opcode::SUBMIT_ANSWER);
+        let decoded =
+            decode_request(&frame).map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
+        let (Request::SubmitAnswer { answer: sent, .. }, Request::SubmitAnswer { answer: got, .. }) =
+            (&request, &decoded)
+        else {
+            return Err(TestCaseError::fail("decoded a different request"));
+        };
+        prop_assert_eq!(got.response, sent.response);
+        for (got, sent) in [(&got.flow_a, &sent.flow_a), (&got.flow_b, &sent.flow_b)] {
+            prop_assert_eq!((got.source(), got.sink()), (sent.source(), sent.sink()));
+            prop_assert_eq!(got.value().to_bits(), sent.value().to_bits());
+            prop_assert_eq!(bits_of(got.edge_flows()), bits_of(sent.edge_flows()));
+        }
     }
 
     #[test]
@@ -255,4 +309,27 @@ fn oversized_and_bad_version_frames_reject() {
     oversized[12..16].copy_from_slice(&(64 * 1024 * 1024u32).to_le_bytes());
     assert!(matches!(parse_frame(&oversized), Err(Frame2Error::Oversized(_))));
     assert_eq!(HEADER_LEN, 16);
+}
+
+#[test]
+fn fully_dense_paper_scale_answer_fits_one_frame() {
+    // n = 900: 900 × 899 edges per network, every one nonzero, is the
+    // largest answer a client can build; at 9 B an edge it still fits
+    let edges = 900 * 899;
+    let dense = |offset: f64| (0..edges).map(|i| offset + i as f64).collect::<Vec<f64>>();
+    let request = Request::SubmitAnswer {
+        device_id: "device".into(),
+        nonce: 1,
+        answer: ProverAnswer {
+            response: true,
+            flow_a: flow(0, 899, 1.0, dense(1.0)),
+            flow_b: flow(899, 0, 2.0, dense(0.5)),
+        },
+    };
+    let bytes = encode_request(4, &request);
+    assert!(bytes.len() - HEADER_LEN <= MAX_FRAME_LEN, "{} B", bytes.len());
+    let (frame, used) = parse_frame(&bytes).expect("parse").expect("complete");
+    assert_eq!(used, bytes.len());
+    assert_eq!(frame.opcode, wire2::opcode::SUBMIT_ANSWER);
+    assert_eq!(decode_request(&frame).expect("decode"), request);
 }
